@@ -4,6 +4,12 @@ Valuations over n atoms are enumerated in a fixed canonical order: binary
 counters 0 .. 2^n - 1 with the lexicographically first atom as the most
 significant bit.  Every witness and every table row respects that order, so
 results are reproducible bit for bit.
+
+Formulas are evaluated as columns: a column over n atoms is a 2^n-bit
+integer whose bit i is the formula's truth value at canonical valuation i.
+`_columns` builds the full column and one column per atom, and `_truth`
+combines them with the connectives.  A column costs 2^n bits, so columns
+are refused above MAX_COLUMN_ATOMS atoms whatever the atom limit.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .syntax import (
 )
 
 DEFAULT_ATOM_LIMIT = 16
+MAX_COLUMN_ATOMS = 24  # a column over 24 atoms is 2^24 bits, 2 MiB
 
 
 @dataclass(frozen=True)
@@ -71,31 +78,72 @@ def all_valuations(names: Sequence[str]) -> Iterator[Valuation]:
 
 def eval_classical(f: Formula, v: Valuation) -> bool:
     """Standard truth-functional evaluation of a K-free formula."""
-    if modal_depth(f) != 0:
-        raise ModalOperatorPresent(
-            f"formula contains the knowledge operator: {render(f)}"
+    _require_k_free([f])
+    _require_assigned(f, v.atoms, "valuation")
+    return bool(_truth(f, 1, {a: int(b) for a, b in zip(v.atoms, v.bits)}, {}))
+
+
+def _require_assigned(f: Formula, names: Sequence[str], holder: str) -> None:
+    missing = set(atoms(f)) - set(names)
+    if missing:
+        raise UnknownAtom(f"atom '{min(missing)}' is not assigned by this {holder}")
+
+
+def _columns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
+    """The full column over `names` and the column of each atom.
+
+    Built by doubling: prefixing a more significant atom copies every column
+    into the upper half, where the new atom is true.
+    """
+    n = len(names)
+    if n > MAX_COLUMN_ATOMS:
+        raise AtomLimitExceeded(
+            f"{n} atoms would need truth columns of 2^{n} bits each; "
+            f"at most {MAX_COLUMN_ATOMS} atoms can be evaluated, whatever the atom limit"
         )
-    return _eval(f, v)
+    full, masks = 1, []
+    for _ in names:
+        width = full.bit_length()
+        masks = [m | (m << width) for m in masks]
+        masks.append(full << width)
+        full |= full << width
+    return full, dict(zip(names, reversed(masks)))
 
 
-def _eval(f: Formula, v: Valuation) -> bool:
+def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
+    """The set of worlds of `cell` where f holds, as a bitmask.
+
+    Bit j of `cell` and of each atom's mask stands for world j; K(g) holds
+    at every world of the cell when g does, and at none otherwise.
+    """
+    hit = cache.get(f)
+    if hit is not None:
+        return hit
     if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Var):
-        return v.value(f.name)
-    if isinstance(f, Not):
-        return not _eval(f.operand, v)
-    if isinstance(f, And):
-        return _eval(f.left, v) and _eval(f.right, v)
-    if isinstance(f, Or):
-        return _eval(f.left, v) or _eval(f.right, v)
-    if isinstance(f, Implies):
-        return (not _eval(f.left, v)) or _eval(f.right, v)
-    if isinstance(f, Iff):
-        return _eval(f.left, v) == _eval(f.right, v)
-    raise ModalOperatorPresent(f"formula contains the knowledge operator: {render(f)}")
+        r = cell
+    elif isinstance(f, Bottom):
+        r = 0
+    elif isinstance(f, Var):
+        r = masks[f.name] & cell
+    elif isinstance(f, Not):
+        r = cell & ~_truth(f.operand, cell, masks, cache)
+    elif isinstance(f, And):
+        r = _truth(f.left, cell, masks, cache) & _truth(f.right, cell, masks, cache)
+    elif isinstance(f, Or):
+        r = _truth(f.left, cell, masks, cache) | _truth(f.right, cell, masks, cache)
+    elif isinstance(f, Implies):
+        r = (cell & ~_truth(f.left, cell, masks, cache)) | _truth(
+            f.right, cell, masks, cache
+        )
+    elif isinstance(f, Iff):
+        r = cell & ~(
+            _truth(f.left, cell, masks, cache) ^ _truth(f.right, cell, masks, cache)
+        )
+    else:
+        assert isinstance(f, Know)
+        r = cell if _truth(f.operand, cell, masks, cache) == cell else 0
+    cache[f] = r
+    return r
 
 
 @dataclass(frozen=True)
@@ -122,10 +170,7 @@ class ConstraintSet:
         return len(self.constraints)
 
     def atom_names(self) -> set[str]:
-        names: set[str] = set()
-        for c in self.constraints:
-            names.update(atoms(c))
-        return names
+        return set().union(*map(atoms, self.constraints))
 
 
 @dataclass(frozen=True)
@@ -143,20 +188,31 @@ class TruthTable:
     rows: tuple[TableRow, ...]
 
 
-def _check_atom_limit(names: Sequence[str], atom_limit: int) -> None:
-    if len(names) > atom_limit:
-        raise AtomLimitExceeded(
-            f"{len(names)} atoms would enumerate 2^{len(names)} valuations; "
-            f"the limit is {atom_limit} (raise it explicitly to proceed)"
-        )
-
-
 def _require_k_free(formulas: Iterable[Formula]) -> None:
     for f in formulas:
         if modal_depth(f) != 0:
             raise ModalOperatorPresent(
                 f"formula contains the knowledge operator: {render(f)}"
             )
+
+
+def _prepare(
+    formulas: Sequence[Formula], constraints: ConstraintSet, atom_limit: int
+) -> tuple[tuple[str, ...], int, dict[str, int]]:
+    """The sorted atoms of a K-free query, its full column and atom columns."""
+    _require_k_free(formulas)
+    order = tuple(sorted(constraints.atom_names().union(*map(atoms, formulas))))
+    if len(order) > atom_limit:
+        raise AtomLimitExceeded(
+            f"{len(order)} atoms would enumerate 2^{len(order)} valuations; "
+            f"the limit is {atom_limit} (raise it explicitly to proceed)"
+        )
+    return (order, *_columns(order))
+
+
+def _first(column: int) -> int:
+    """Index of the lowest set bit: the first valuation in canonical order."""
+    return (column & -column).bit_length() - 1
 
 
 def truth_table(
@@ -170,19 +226,23 @@ def truth_table(
     valuation; excluded rows carry no formula values.
     """
     formulas = tuple(formulas)
-    _require_k_free(formulas)
-    names: set[str] = set(constraints.atom_names())
-    for f in formulas:
-        names.update(atoms(f))
-    order = tuple(sorted(names))
-    _check_atom_limit(order, atom_limit)
+    order, full, masks = _prepare(formulas, constraints, atom_limit)
+    cache: dict = {}
+    width = f"0{1 << len(order)}b"
+
+    def bits(f: Formula) -> str:  # character i is the value at valuation i
+        return format(_truth(f, full, masks, cache), width)[::-1]
+
+    constraint_bits = [(c, bits(c)) for c in constraints]
+    formula_bits = [bits(f) for f in formulas]
     rows = []
-    for v in all_valuations(order):
-        violated = tuple(c for c in constraints if not _eval(c, v))
+    for i in range(1 << len(order)):
+        v = valuation_at(order, i)
+        violated = tuple(c for c, col in constraint_bits if col[i] == "0")
         if violated:
             rows.append(TableRow(v, True, violated, None))
         else:
-            values = tuple(_eval(f, v) for f in formulas)
+            values = tuple(col[i] == "1" for col in formula_bits)
             rows.append(TableRow(v, False, (), values))
     return TruthTable(order, formulas, tuple(rows))
 
@@ -199,15 +259,16 @@ class ClassicalVerdict:
     witness: Valuation | None = None
 
 
+def _verdict(order: tuple[str, ...], counterexamples: int) -> ClassicalVerdict:
+    if counterexamples:
+        return ClassicalVerdict(False, valuation_at(order, _first(counterexamples)))
+    return ClassicalVerdict(True)
+
+
 def is_tautology(f: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> ClassicalVerdict:
     """True at every valuation, or the first falsifying valuation."""
-    _require_k_free([f])
-    order = atoms(f)
-    _check_atom_limit(order, atom_limit)
-    for v in all_valuations(order):
-        if not _eval(f, v):
-            return ClassicalVerdict(False, v)
-    return ClassicalVerdict(True)
+    order, full, masks = _prepare([f], ConstraintSet(), atom_limit)
+    return _verdict(order, full & ~_truth(f, full, masks, {}))
 
 
 def are_equivalent_under(
@@ -217,11 +278,10 @@ def are_equivalent_under(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> ClassicalVerdict:
     """Do f and g agree on every valuation satisfying all constraints?"""
-    _require_k_free([f, g])
-    names = set(atoms(f)) | set(atoms(g)) | constraints.atom_names()
-    order = tuple(sorted(names))
-    _check_atom_limit(order, atom_limit)
-    for v in all_valuations(order):
-        if all(_eval(c, v) for c in constraints) and _eval(f, v) != _eval(g, v):
-            return ClassicalVerdict(False, v)
-    return ClassicalVerdict(True)
+    order, full, masks = _prepare([f, g], constraints, atom_limit)
+    cache: dict = {}
+    allowed = full
+    for c in constraints:
+        allowed &= _truth(c, full, masks, cache)
+    differ = _truth(f, full, masks, cache) ^ _truth(g, full, masks, cache)
+    return _verdict(order, allowed & differ)

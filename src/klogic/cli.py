@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import classical, epistemic
-from .classical import ClassicalVerdict, ConstraintSet, TruthTable, is_tautology, truth_table
+from .classical import ConstraintSet, TruthTable, is_tautology, truth_table
 from .declarations import (
     Declarations,
     format_declarations,
@@ -58,6 +58,18 @@ _ATOM_LIMIT_HELP = (
     "override the atom limit; modal search enumerates 2^(2^n) candidate "
     "cells over n atoms, so raise with care"
 )
+
+
+def _atom_limit(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _add_atom_limit(p: argparse.ArgumentParser, default: int) -> None:
+    p.add_argument(
+        "--atom-limit", type=_atom_limit, default=default, metavar="N", help=_ATOM_LIMIT_HELP
+    )
 
 
 def _bit(b: bool) -> str:
@@ -188,10 +200,6 @@ def _print_json(report: dict) -> None:
     sys.stdout.write(json.dumps(report, indent=2) + "\n")
 
 
-def _resolve_limit(args: argparse.Namespace, default: int) -> int:
-    return default if args.atom_limit is None else args.atom_limit
-
-
 def _run_query(f: Formula, theory: Theory, mode: str, limit: int) -> CheckResult:
     if mode == "valid":
         return is_valid(f, theory, atom_limit=limit)
@@ -201,8 +209,7 @@ def _run_query(f: Formula, theory: Theory, mode: str, limit: int) -> CheckResult
 def _cmd_check(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     theory = load_theory(args.theory) if args.theory else Theory()
-    limit = _resolve_limit(args, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
-    result = _run_query(f, theory, args.mode, limit)
+    result = _run_query(f, theory, args.mode, args.atom_limit)
     if args.format == "json":
         report = {
             "command": "check",
@@ -232,8 +239,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         constraints = generate(decls.propositions, decls.config).constraints
     else:
         constraints = ConstraintSet()
-    limit = _resolve_limit(args, classical.DEFAULT_ATOM_LIMIT)
-    table = truth_table(formulas, constraints, atom_limit=limit)
+    table = truth_table(formulas, constraints, atom_limit=args.atom_limit)
     if args.format == "csv":
         sys.stdout.write(_table_csv(table))
     elif args.format == "json":
@@ -254,8 +260,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     check_formula = None
     if args.check is not None:
         check_formula = parse(args.check)
-        limit = _resolve_limit(args, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
-        check_result = _run_query(check_formula, gen.axioms, args.mode, limit)
+        check_result = _run_query(check_formula, gen.axioms, args.mode, args.atom_limit)
         if not check_result.holds:
             exit_code = EXIT_NEGATIVE
 
@@ -419,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", metavar="PATH", help="global axioms, one formula per line")
     p.add_argument("--mode", choices=("valid", "sat"), default="valid")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--atom-limit", type=int, metavar="N", help=_ATOM_LIMIT_HELP)
+    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("table", help="print a constrained truth table (K-free formulas)")
@@ -430,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantum", metavar="PATH", help="declaration file; its generated constraints apply"
     )
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.add_argument("--atom-limit", type=int, metavar="N", help=_ATOM_LIMIT_HELP)
+    _add_atom_limit(p, classical.DEFAULT_ATOM_LIMIT)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("quantum", help="generate epistemic axioms from interval declarations")
@@ -440,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", metavar="FORMULA", help="query under the generated axioms")
     p.add_argument("--mode", choices=("valid", "sat"), default="valid")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--atom-limit", type=int, metavar="N", help=_ATOM_LIMIT_HELP)
+    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
     p.set_defaults(handler=_cmd_quantum)
 
     p = sub.add_parser("demo", help="run the built-in worked example end to end")

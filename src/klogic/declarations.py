@@ -28,9 +28,8 @@ from .errors import InputFileError
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
 from .syntax import Formula, ParseError, is_atom_name, modal_depth, parse, render
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?\Z")
-
 _RATIONAL = r"[+-]?\d+(?:/\d+|\.\d+)?"
+_RATIONAL_RE = re.compile(_RATIONAL + r"\Z")
 _ATOM_LINE_RE = re.compile(
     r"atom\s+(?P<name>\S+)\s+(?P<kind>\S+)\s*"
     r"\[\s*(?P<lo>" + _RATIONAL + r")\s*,\s*(?P<hi>" + _RATIONAL + r")\s*\]\Z"
@@ -122,9 +121,22 @@ def format_declarations(decls: Declarations) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read(path: str) -> str:
+    """A UTF-8 file's text; a bad byte is reported at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        # lines are counted as splitlines() counts them for the parsers
+        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise InputFileError(
+            path, lineno, f"not valid UTF-8 (byte 0x{data[e.start]:02x})"
+        ) from None
+
+
 def load_declarations(path: str) -> Declarations:
-    with open(path, encoding="utf-8") as fh:
-        return parse_declarations(fh.read(), source=path)
+    return parse_declarations(_read(path), source=path)
 
 
 def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
@@ -142,15 +154,13 @@ def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
 
 def load_theory(path: str) -> Theory:
     """One axiom per line; K is allowed."""
-    with open(path, encoding="utf-8") as fh:
-        parsed = _parse_formula_lines(fh.read(), path)
+    parsed = _parse_formula_lines(_read(path), path)
     return Theory(tuple(f for _, f in parsed))
 
 
 def load_constraints(path: str) -> ConstraintSet:
     """One K-free constraint per line."""
-    with open(path, encoding="utf-8") as fh:
-        parsed = _parse_formula_lines(fh.read(), path)
+    parsed = _parse_formula_lines(_read(path), path)
     for lineno, f in parsed:
         if modal_depth(f) != 0:
             raise InputFileError(

@@ -7,10 +7,11 @@ at every world of the cell.
 
 Satisfiability search enumerates canonical models exhaustively: with A the
 combined sorted atom set and V the 2^|A| valuations in canonical order, every
-non-empty subset of V is tried as a cell (subset bitmask ascending, bit i =
-valuation i) and, within a cell, designated worlds in ascending valuation
-order.  The first hit is returned, so repeated queries are reproducible bit
-for bit.  In single-agent S5 truth at the designated world depends only on
+non-empty subset of V is tried as a cell, in ascending order of the cell
+read as a column in the format the `klogic.classical` docstring defines,
+and within a cell, designated worlds in ascending valuation order.  The
+first hit is returned, so repeated queries are reproducible bit for bit.
+In single-agent S5 truth at the designated world depends only on
 its own equivalence class, and duplicate-valuation worlds are redundant, so
 this enumeration is exhaustive up to semantic equivalence.
 """
@@ -21,21 +22,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import AtomLimitExceeded
-from .syntax import (
-    And,
-    Bottom,
-    Formula,
-    Iff,
-    Implies,
-    Know,
-    Not,
-    Or,
-    Top,
-    Var,
-    atoms,
-    modal_depth,
+from .syntax import Bottom, Formula, Iff, Know, Not, Top, Var, atoms, modal_depth
+from .classical import (
+    Valuation,
+    _columns,
+    _first,
+    _require_assigned,
+    _truth,
+    valuation_at,
 )
-from .classical import Valuation, valuation_at
 
 DEFAULT_MODAL_ATOM_LIMIT = 4
 
@@ -85,10 +80,7 @@ class Theory:
         object.__setattr__(self, "axioms", tuple(deduped))
 
     def atom_names(self) -> set[str]:
-        names: set[str] = set()
-        for a in self.axioms:
-            names.update(atoms(a))
-        return names
+        return set().union(*map(atoms, self.axioms))
 
 
 class Verdict(str, Enum):
@@ -115,28 +107,12 @@ def eval_modal(f: Formula, m: EpistemicModel, world_index: int) -> bool:
     """Truth of f at the given world; K quantifies over the whole cell."""
     if not 0 <= world_index < len(m.cell):
         raise IndexError(f"world index {world_index} outside cell of size {len(m.cell)}")
-    return _eval_at(f, m, world_index)
-
-
-def _eval_at(f: Formula, m: EpistemicModel, w: int) -> bool:
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Var):
-        return m.cell[w].value(f.name)
-    if isinstance(f, Not):
-        return not _eval_at(f.operand, m, w)
-    if isinstance(f, And):
-        return _eval_at(f.left, m, w) and _eval_at(f.right, m, w)
-    if isinstance(f, Or):
-        return _eval_at(f.left, m, w) or _eval_at(f.right, m, w)
-    if isinstance(f, Implies):
-        return (not _eval_at(f.left, m, w)) or _eval_at(f.right, m, w)
-    if isinstance(f, Iff):
-        return _eval_at(f.left, m, w) == _eval_at(f.right, m, w)
-    assert isinstance(f, Know)
-    return all(_eval_at(f.operand, m, u) for u in range(len(m.cell)))
+    _require_assigned(f, m.atoms, "model")
+    masks = {
+        name: sum(v.bits[k] << j for j, v in enumerate(m.cell))
+        for k, name in enumerate(m.atoms)
+    }
+    return bool(_truth(f, (1 << len(m.cell)) - 1, masks, {}) >> world_index & 1)
 
 
 def erase_K(f: Formula) -> Formula:
@@ -148,52 +124,6 @@ def erase_K(f: Formula) -> Formula:
     if isinstance(f, Not):
         return Not(erase_K(f.operand))
     return type(f)(erase_K(f.left), erase_K(f.right))
-
-
-def _atom_masks(names: tuple[str, ...]) -> dict[str, int]:
-    """Per-atom bitmask over valuation indices (canonical order, first atom
-    is the most significant bit of the index)."""
-    n = len(names)
-    masks: dict[str, int] = {}
-    for k, name in enumerate(names):
-        m = 0
-        for i in range(1 << n):
-            if (i >> (n - 1 - k)) & 1:
-                m |= 1 << i
-        masks[name] = m
-    return masks
-
-
-def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
-    """Bitmask (subset of `cell`) of the cell's worlds where f holds."""
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, Top):
-        r = cell
-    elif isinstance(f, Bottom):
-        r = 0
-    elif isinstance(f, Var):
-        r = masks[f.name] & cell
-    elif isinstance(f, Not):
-        r = cell & ~_truth(f.operand, cell, masks, cache)
-    elif isinstance(f, And):
-        r = _truth(f.left, cell, masks, cache) & _truth(f.right, cell, masks, cache)
-    elif isinstance(f, Or):
-        r = _truth(f.left, cell, masks, cache) | _truth(f.right, cell, masks, cache)
-    elif isinstance(f, Implies):
-        r = (cell & ~_truth(f.left, cell, masks, cache)) | _truth(
-            f.right, cell, masks, cache
-        )
-    elif isinstance(f, Iff):
-        r = cell & ~(
-            _truth(f.left, cell, masks, cache) ^ _truth(f.right, cell, masks, cache)
-        )
-    else:
-        assert isinstance(f, Know)
-        r = cell if _truth(f.operand, cell, masks, cache) == cell else 0
-    cache[f] = r
-    return r
 
 
 def _model_from_mask(
@@ -209,22 +139,18 @@ def _first_model(
 ) -> EpistemicModel | None:
     """First canonical model of `theory` (globally) satisfying f at the
     designated world, or None."""
-    n = len(names)
-    full = (1 << (1 << n)) - 1
-    masks = _atom_masks(names)
+    full, masks = _columns(names)
 
     if modal_depth(f) == 0 and all(modal_depth(a) == 0 for a in theory.axioms):
         # K-free everywhere: worlds satisfy axioms independently, so the first
         # hit is always the singleton of the first valuation satisfying both.
         cache: dict = {}
-        allowed = full
+        hits = _truth(f, full, masks, cache)
         for a in theory.axioms:
-            allowed &= _truth(a, full, masks, cache)
-        hits = allowed & _truth(f, full, masks, cache)
+            hits &= _truth(a, full, masks, cache)
         if hits == 0:
             return None
-        first = (hits & -hits).bit_length() - 1
-        return EpistemicModel.singleton(valuation_at(names, first))
+        return EpistemicModel.singleton(valuation_at(names, _first(hits)))
 
     for cell_mask in range(1, full + 1):
         cache = {}
@@ -232,8 +158,7 @@ def _first_model(
             continue
         t = _truth(f, cell_mask, masks, cache)
         if t:
-            designated = (t & -t).bit_length() - 1
-            return _model_from_mask(names, cell_mask, designated)
+            return _model_from_mask(names, cell_mask, _first(t))
     return None
 
 

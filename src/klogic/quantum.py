@@ -22,9 +22,6 @@ from .epistemic import Theory
 from .errors import DisjointIntervals, DuplicateAtom, KindMismatch
 from .syntax import And, Formula, Implies, Know, Not, Var, is_atom_name
 
-Rational = int | Fraction
-
-
 class ObservableKind(Enum):
     POSITION = "position"
     MOMENTUM = "momentum"

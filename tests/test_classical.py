@@ -22,7 +22,8 @@ from klogic import (
     truth_table,
     valuation_at,
 )
-from oracles import oracle_eval
+from klogic.classical import _columns
+from oracles import canonical_worlds, oracle_eval
 
 from test_syntax import atom_names
 
@@ -81,6 +82,23 @@ def test_eval_classical_basics():
     assert eval_classical(parse("q -> p"), v) is True
     assert eval_classical(parse("true"), v) is True
     assert eval_classical(parse("false | p"), v) is True
+
+
+def test_eval_classical_rejects_unknown_atoms_in_either_operand():
+    v = Valuation(("p",), (True,))
+    for text in ("true | z", "z | true"):
+        with pytest.raises(UnknownAtom):
+            eval_classical(parse(text), v)
+
+
+def test_doubled_columns_match_canonical_valuations():
+    for n in range(11):
+        names = tuple(f"a{k}" for k in range(n))
+        full, masks = _columns(names)
+        assert full == (1 << (1 << n)) - 1
+        for i in range(1 << n):
+            bits = tuple(bool(masks[a] >> i & 1) for a in names)
+            assert bits == valuation_at(names, i).bits
 
 
 def test_eval_classical_rejects_modal_formulas_everywhere():
@@ -228,3 +246,25 @@ def test_adding_constraints_only_grows_the_excluded_set(extra):
     for old, new in zip(base.rows, more.rows):
         if old.excluded:
             assert new.excluded
+
+
+@given(kfree_formulas, kfree_formulas, st.lists(kfree_formulas, max_size=2))
+@settings(max_examples=100)
+def test_witnesses_are_the_first_canonical_counterexamples(f, g, extra):
+    cons = ConstraintSet(tuple(extra))
+    names = tuple(sorted(set(atoms(f)) | set(atoms(g)) | cons.atom_names()))
+    if len(names) > 8:
+        return
+
+    def first(order, counterexample):
+        return next((env for env in canonical_worlds(order) if counterexample(env)), None)
+
+    def as_dict(verdict):
+        return None if verdict.witness is None else verdict.witness.as_dict()
+
+    assert as_dict(is_tautology(f)) == first(atoms(f), lambda env: not oracle_eval(f, env))
+    assert as_dict(are_equivalent_under(cons, f, g)) == first(
+        names,
+        lambda env: all(oracle_eval(c, env) for c in cons)
+        and oracle_eval(f, env) != oracle_eval(g, env),
+    )

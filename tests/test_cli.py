@@ -79,6 +79,39 @@ def test_atom_limit_error_explains_cost(capsys):
     assert "2^(2^n)" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [("check", "p"), ("table", "p"), ("quantum", "decl", "--check", "p")]
+)
+def test_negative_atom_limit_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--atom-limit", "-1")
+    assert code == EXIT_ERROR
+    assert out == ""
+    assert "--atom-limit: expected a non-negative integer, got '-1'" in err
+
+
+def test_atom_limit_cannot_lift_the_column_ceiling(capsys):
+    """Refused before any 2^n-bit column is built, whatever the limit."""
+    wide = " & ".join(f"a{i}" for i in range(400))
+    code, out, err = run_cli(capsys, "check", wide, "--atom-limit", "1000")
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith("error: 400 atoms would need truth columns of 2^400 bits")
+    wide = " | ".join(f"a{i}" for i in range(25))
+    code, _, err = run_cli(capsys, "table", wide, "--atom-limit", "25")
+    assert code == EXIT_ERROR
+    assert err.startswith("error: 25 atoms would need truth columns of 2^25 bits")
+
+
+@pytest.mark.parametrize(
+    "argv", [("check", "p", "--theory"), ("table", "p", "--constraints"), ("quantum",)]
+)
+def test_non_utf8_input_file_exits_two_at_its_line(capsys, tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"# comment\n\xff\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {path}:2: not valid UTF-8 (byte 0xff)\n"
+
+
 def test_missing_theory_file_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", "p", "--theory", str(tmp_path / "nope.thy"))
     assert code == EXIT_ERROR

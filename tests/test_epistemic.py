@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from klogic import (
     AtomLimitExceeded,
@@ -26,7 +26,7 @@ from klogic import (
     parse,
     valuation_at,
 )
-from oracles import oracle_first_model, random_formula
+from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
 from test_syntax import formulas as any_formulas
 
@@ -68,8 +68,9 @@ def test_singleton_model_evaluation():
 
 def test_eval_modal_error_cases():
     m = EpistemicModel.singleton(Valuation(("p",), (True,)))
-    with pytest.raises(UnknownAtom):
-        eval_modal(parse("q"), m, 0)
+    for text in ("q", "true | q", "q | true"):
+        with pytest.raises(UnknownAtom):
+            eval_modal(parse(text), m, 0)
     with pytest.raises(IndexError):
         eval_modal(parse("p"), m, 3)
 
@@ -248,6 +249,25 @@ def test_collapse_on_singleton_models(f):
         v = valuation_at(names, index)
         m = EpistemicModel.singleton(v)
         assert eval_modal(f, m, 0) == eval_classical(erased, v)
+
+
+@given(any_formulas, st.data())
+@settings(max_examples=150)
+def test_eval_modal_matches_reference_on_multi_world_cells(f, data):
+    names = atoms(f)
+    indices = data.draw(
+        st.lists(
+            st.integers(0, 2 ** len(names) - 1),
+            min_size=min(2, 2 ** len(names)),
+            max_size=6,
+            unique=True,
+        )
+    )
+    cell = tuple(valuation_at(names, i) for i in indices)
+    m = EpistemicModel(names, cell, 0)
+    worlds = [v.as_dict() for v in cell]
+    for w in range(len(cell)):
+        assert eval_modal(f, m, w) == oracle_eval_modal(f, worlds, w)
 
 
 @given(any_formulas)
