@@ -15,6 +15,8 @@ are refused above MAX_COLUMN_ATOMS atoms whatever the atom limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import AtomLimitExceeded, ModalOperatorPresent, UnknownAtom
@@ -72,8 +74,9 @@ def valuation_at(names: Sequence[str], index: int) -> Valuation:
 
 def all_valuations(names: Sequence[str]) -> Iterator[Valuation]:
     """All 2^n valuations over `names` in canonical order."""
-    for index in range(1 << len(names)):
-        yield valuation_at(names, index)
+    names = tuple(names)
+    for bits in product((False, True), repeat=len(names)):
+        yield Valuation(names, bits)
 
 
 def eval_classical(f: Formula, v: Valuation) -> bool:
@@ -153,15 +156,13 @@ class ConstraintSet:
     constraints: tuple[Formula, ...] = ()
 
     def __post_init__(self):
-        deduped: list[Formula] = []
-        for c in self.constraints:
+        constraints = tuple(dict.fromkeys(self.constraints))
+        for c in constraints:
             if modal_depth(c) != 0:
                 raise ModalOperatorPresent(
                     f"constraints must be K-free, got: {render(c)}"
                 )
-            if c not in deduped:
-                deduped.append(c)
-        object.__setattr__(self, "constraints", tuple(deduped))
+        object.__setattr__(self, "constraints", constraints)
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.constraints)
@@ -183,9 +184,38 @@ class TableRow:
 
 @dataclass(frozen=True)
 class TruthTable:
+    """A constrained truth table, held as one bit string per column.
+
+    Character i of each string in `constraint_bits` and `formula_bits` is
+    "1" or "0", the value of that constraint or formula at canonical
+    valuation i (first atom most significant), so every string has 2^n
+    characters.  Row i is excluded iff some constraint string has "0" at i;
+    `excluded` holds that column too.  `rows` is built from the strings on
+    first access.
+    """
+
     atoms: tuple[str, ...]
     formulas: tuple[Formula, ...]
-    rows: tuple[TableRow, ...]
+    constraints: tuple[Formula, ...]
+    constraint_bits: tuple[str, ...]
+    formula_bits: tuple[str, ...]
+    excluded: str  # "1" at i iff row i violates a constraint
+
+    @cached_property
+    def rows(self) -> tuple[TableRow, ...]:
+        rows = []
+        for i, v in enumerate(all_valuations(self.atoms)):
+            if self.excluded[i] == "1":
+                violated = tuple(
+                    c
+                    for c, col in zip(self.constraints, self.constraint_bits)
+                    if col[i] == "0"
+                )
+                rows.append(TableRow(v, True, violated, None))
+            else:
+                values = tuple(col[i] == "1" for col in self.formula_bits)
+                rows.append(TableRow(v, False, (), values))
+        return tuple(rows)
 
 
 def _require_k_free(formulas: Iterable[Formula]) -> None:
@@ -230,21 +260,23 @@ def truth_table(
     cache: dict = {}
     width = f"0{1 << len(order)}b"
 
-    def bits(f: Formula) -> str:  # character i is the value at valuation i
-        return format(_truth(f, full, masks, cache), width)[::-1]
+    def bits(column: int) -> str:  # character i is bit i
+        return format(column, width)[::-1]
 
-    constraint_bits = [(c, bits(c)) for c in constraints]
-    formula_bits = [bits(f) for f in formulas]
-    rows = []
-    for i in range(1 << len(order)):
-        v = valuation_at(order, i)
-        violated = tuple(c for c, col in constraint_bits if col[i] == "0")
-        if violated:
-            rows.append(TableRow(v, True, violated, None))
-        else:
-            values = tuple(col[i] == "1" for col in formula_bits)
-            rows.append(TableRow(v, False, (), values))
-    return TruthTable(order, formulas, tuple(rows))
+    allowed = full
+    constraint_bits = []
+    for c in constraints:
+        column = _truth(c, full, masks, cache)
+        allowed &= column
+        constraint_bits.append(bits(column))
+    return TruthTable(
+        order,
+        formulas,
+        constraints.constraints,
+        tuple(constraint_bits),
+        tuple(bits(_truth(f, full, masks, cache)) for f in formulas),
+        bits(full & ~allowed),
+    )
 
 
 @dataclass(frozen=True)

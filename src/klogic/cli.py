@@ -19,6 +19,8 @@ import io
 import json
 import sys
 from fractions import Fraction
+from itertools import product, repeat
+from typing import Iterator
 
 from . import classical, epistemic
 from .classical import ConstraintSet, TruthTable, is_tautology, truth_table
@@ -111,21 +113,25 @@ def _check_lines(result: CheckResult) -> list[str]:
     return lines
 
 
+def _by_row(columns: tuple[str, ...], rows: int) -> Iterator[tuple[str, ...]]:
+    """The characters of equally long bit strings, one tuple per row."""
+    return zip(*columns) if columns else repeat((), rows)
+
+
 def _table_lines(table: TruthTable) -> list[str]:
     """`*` marks excluded rows; their formula cells render as `x`."""
     headers = [render(f) for f in table.formulas]
-    atom_block = " ".join(table.atoms)
-    lines = [("  " + atom_block + "  " + "  ".join(headers)).rstrip()]
-    for row in table.rows:
-        marker = "* " if row.excluded else "  "
-        bits = " ".join(
-            _bit(b).ljust(len(a)) for a, b in zip(table.atoms, row.valuation.bits)
-        )
-        if row.excluded:
-            cells = ["x".ljust(len(h)) for h in headers]
+    widths = [len(h) for h in headers]
+    lines = [("  " + " ".join(table.atoms) + "  " + "  ".join(headers)).rstrip()]
+    valuations = product(*[("0".ljust(len(a)), "1".ljust(len(a))) for a in table.atoms])
+    excluded_cells = "  ".join("x".ljust(w) for w in widths)
+    rows = _by_row(table.formula_bits, len(table.excluded))
+    for bits, excluded, values in zip(valuations, table.excluded, rows):
+        if excluded == "1":
+            line = "* " + " ".join(bits) + "  " + excluded_cells
         else:
-            cells = [_bit(v).ljust(len(h)) for v, h in zip(row.values, headers)]
-        lines.append((marker + bits + "  " + "  ".join(cells)).rstrip())
+            line = "  " + " ".join(bits) + "  " + "  ".join(map(str.ljust, values, widths))
+        lines.append(line.rstrip())
     return lines
 
 
@@ -133,29 +139,39 @@ def _table_csv(table: TruthTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["excluded"] + list(table.atoms) + [render(f) for f in table.formulas])
-    for row in table.rows:
-        cells = ["x"] * len(table.formulas) if row.excluded else [_bit(v) for v in row.values]
-        writer.writerow(
-            ["*" if row.excluded else ""]
-            + [_bit(b) for b in row.valuation.bits]
-            + cells
+    excluded_cells = ["x"] * len(table.formulas)
+    writer.writerows(
+        ["*", *bits, *excluded_cells] if excluded == "1" else ["", *bits, *values]
+        for bits, excluded, values in zip(
+            product("01", repeat=len(table.atoms)),
+            table.excluded,
+            _by_row(table.formula_bits, len(table.excluded)),
         )
+    )
     return buf.getvalue()
 
 
 def _table_json(table: TruthTable) -> dict:
+    names = [render(c) for c in table.constraints]
+    size = len(table.excluded)
+    rows = [
+        {
+            "valuation": list(bits),
+            "excluded": excluded == "1",
+            "violated": [name for name, b in zip(names, held) if b == "0"],
+            "values": None if excluded == "1" else [int(v) for v in values],
+        }
+        for bits, excluded, values, held in zip(
+            product((0, 1), repeat=len(table.atoms)),
+            table.excluded,
+            _by_row(table.formula_bits, size),
+            _by_row(table.constraint_bits, size),
+        )
+    ]
     return {
         "atoms": list(table.atoms),
         "formulas": [render(f) for f in table.formulas],
-        "rows": [
-            {
-                "valuation": [1 if b else 0 for b in row.valuation.bits],
-                "excluded": row.excluded,
-                "violated": [render(c) for c in row.violated],
-                "values": None if row.excluded else [1 if v else 0 for v in row.values],
-            }
-            for row in table.rows
-        ],
+        "rows": rows,
     }
 
 

@@ -73,11 +73,7 @@ class Theory:
     axioms: tuple[Formula, ...] = ()
 
     def __post_init__(self):
-        deduped: list[Formula] = []
-        for a in self.axioms:
-            if a not in deduped:
-                deduped.append(a)
-        object.__setattr__(self, "axioms", tuple(deduped))
+        object.__setattr__(self, "axioms", tuple(dict.fromkeys(self.axioms)))
 
     def atom_names(self) -> set[str]:
         return set().union(*map(atoms, self.axioms))

@@ -15,6 +15,15 @@ Concrete syntax (the wire format used by the CLI, theory files, and reports):
 Precedence, high to low: {!, K} > & > | > -> > <->.  Whitespace is
 insignificant.  `K`, `true`, `false`, `and`, `or`, `not`, `implies`, `iff`
 are reserved and cannot be used as atoms.
+
+Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
+parenthesized group and connective is one level above its operands, so
+`!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
+`|` chains nest to the left.  Printing, evaluation, hashing and equality
+recurse through every level, equality about three interpreter frames per
+level, so 200 levels keep them under Python's default recursion limit of
+1000.  `parse` itself does not recurse and refuses deeper input with a
+ParseError.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import LogicError
+
+MAX_FORMULA_DEPTH = 200
 
 RESERVED_WORDS = frozenset({"K", "and", "or", "not", "implies", "iff", "true", "false"})
 
@@ -163,105 +174,121 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                tok.pos + 1, f"expected {_TOKEN_NAMES[kind]}, found {tok.describe()}"
-            )
-        return self.advance()
-
-    def iff(self) -> Formula:
-        left = self.implication()
-        if self.peek().kind == "<->":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
-            self.advance()
-            return Implies(left, self.implication())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unary()
-        while self.peek().kind == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "(":
-            self.advance()
-            inner = self.iff()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "true":
-                return Top()
-            if tok.text == "false":
-                return Bottom()
-            if tok.text == "K":
-                self.expect("(")
-                inner = self.iff()
-                self.expect(")")
-                return Know(inner)
-            if tok.text in RESERVED_WORDS:
-                raise ParseError(
-                    tok.pos + 1, f"reserved word '{tok.text}' cannot be used as an atom"
-                )
-            if not _ATOM_RE.match(tok.text):
-                raise ParseError(
-                    tok.pos + 1,
-                    f"invalid atom name '{tok.text}' (atoms match [a-z][a-zA-Z0-9_]*)",
-                )
-            return Var(tok.text)
-        raise ParseError(tok.pos + 1, f"expected a formula, found {tok.describe()}")
-
-
-def parse(text: str) -> Formula:
-    """Parse concrete syntax into a Formula; raises ParseError with offset."""
-    parser = _Parser(_tokenize(text))
-    formula = parser.iff()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ParseError(
-            trailing.pos + 1, f"expected end of input, found {trailing.describe()}"
-        )
-    return formula
-
-
 # Binding strength of each connective; prefix operators and atoms bind tightest.
 _PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3}
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+_CONNECTIVE = {symbol: node for node, symbol in _SYMBOL.items()}
 _PREFIX_LEVEL = 4
+
+
+def _leaf(tok: _Token) -> Formula:
+    if tok.kind != "ident":
+        raise ParseError(tok.pos + 1, f"expected a formula, found {tok.describe()}")
+    if tok.text == "true":
+        return Top()
+    if tok.text == "false":
+        return Bottom()
+    if tok.text in RESERVED_WORDS:
+        raise ParseError(
+            tok.pos + 1, f"reserved word '{tok.text}' cannot be used as an atom"
+        )
+    if not _ATOM_RE.match(tok.text):
+        raise ParseError(
+            tok.pos + 1,
+            f"invalid atom name '{tok.text}' (atoms match [a-z][a-zA-Z0-9_]*)",
+        )
+    return Var(tok.text)
+
+
+def _too_deep(tok: _Token) -> ParseError:
+    return ParseError(
+        tok.pos + 1, f"formula nested more than {MAX_FORMULA_DEPTH} levels deep"
+    )
+
+
+def _binds_first(pending: _Token, incoming: type) -> bool:
+    """Must the open connective `pending` take its right operand before
+    `incoming` takes it as its left one?"""
+    level = _PRECEDENCE[_CONNECTIVE[pending.kind]]
+    return level > _PRECEDENCE[incoming] or (
+        level == _PRECEDENCE[incoming] and incoming in (And, Or)
+    )
+
+
+def parse(text: str) -> Formula:
+    """Parse concrete syntax into a Formula; raises ParseError with offset.
+
+    Operator precedence over two explicit stacks, so nesting costs no
+    recursion: `opened` holds the constructs around the current position
+    (`!`, `(`, `K(` and connectives waiting for their right operand),
+    outermost first, and `done` the finished operands with their depths.
+    Input nested deeper than MAX_FORMULA_DEPTH is refused at the token that
+    crosses the limit.
+    """
+    tokens = iter(_tokenize(text))
+    opened: list[_Token] = []
+    done: list[tuple[Formula, int]] = []
+
+    def enter(tok: _Token) -> None:
+        if len(opened) >= MAX_FORMULA_DEPTH:
+            raise _too_deep(tok)
+        opened.append(tok)
+
+    def close() -> None:
+        """Finish the innermost open construct over the operands it took."""
+        tok = opened.pop()
+        formula, depth = done.pop()
+        if tok.kind == "!":
+            formula = Not(formula)
+        elif tok.kind == "ident":
+            formula = Know(formula)
+        elif tok.kind != "(":
+            left, left_depth = done.pop()
+            formula = _CONNECTIVE[tok.kind](left, formula)
+            depth = max(depth, left_depth)
+        depth += 1
+        if len(opened) + depth > MAX_FORMULA_DEPTH:
+            raise _too_deep(tok)
+        done.append((formula, depth))
+
+    while True:
+        # An operand: prefix operators and groups, then an atom or constant.
+        tok = next(tokens)
+        while tok.kind in ("!", "(") or tok.text == "K":
+            if tok.text == "K":
+                paren = next(tokens)
+                if paren.kind != "(":
+                    raise ParseError(
+                        paren.pos + 1, f"expected '(', found {paren.describe()}"
+                    )
+            enter(tok)
+            tok = next(tokens)
+        done.append((_leaf(tok), 0))
+        # What the operand completes, up to the next connective.
+        while True:
+            while opened and opened[-1].kind == "!":
+                close()
+            tok = next(tokens)
+            node = _CONNECTIVE.get(tok.kind)
+            if node is not None:
+                while opened and opened[-1].kind in _CONNECTIVE and _binds_first(
+                    opened[-1], node
+                ):
+                    close()
+                enter(tok)
+                break
+            while opened and opened[-1].kind in _CONNECTIVE:
+                close()
+            if tok.kind == ")" and opened:
+                close()
+            elif opened:
+                raise ParseError(tok.pos + 1, f"expected ')', found {tok.describe()}")
+            elif tok.kind != "eof":
+                raise ParseError(
+                    tok.pos + 1, f"expected end of input, found {tok.describe()}"
+                )
+            else:
+                return done.pop()[0]
 
 
 def _render(f: Formula, context: int) -> str:

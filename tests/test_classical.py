@@ -10,6 +10,7 @@ from klogic import (
     ConstraintSet,
     ModalOperatorPresent,
     Or,
+    Theory,
     UnknownAtom,
     Valuation,
     Var,
@@ -120,6 +121,13 @@ def test_constraint_set_deduplicates_in_order():
     assert [str(f) for f in c] == ["!p", "!q"]
     assert len(c) == 2
     assert c.atom_names() == {"p", "q"}
+
+
+def test_theory_and_constraint_set_keep_first_occurrences_in_order():
+    texts = ["!q", "p | r", "!q", "!p", "p | r", "!p", "r"]
+    first = ["!q", "p | r", "!p", "r"]
+    assert [str(f) for f in ConstraintSet(tuple(map(parse, texts)))] == first
+    assert [str(f) for f in Theory(tuple(map(parse, texts))).axioms] == first
 
 
 def test_constrained_distributivity_table():
@@ -268,3 +276,44 @@ def test_witnesses_are_the_first_canonical_counterexamples(f, g, extra):
         lambda env: all(oracle_eval(c, env) for c in cons)
         and oracle_eval(f, env) != oracle_eval(g, env),
     )
+
+
+eight_atom_formulas = st.recursive(
+    st.builds(Var, st.sampled_from("abcdefgh")),
+    lambda sub: st.one_of(
+        st.builds(lambda f: parse(f"!({f})"), sub.map(str)),
+        *(
+            st.builds(lambda a, b, op=op: parse(f"({a}) {op} ({b})"), sub.map(str), sub.map(str))
+            for op in ("&", "|", "->", "<->")
+        ),
+    ),
+    max_leaves=8,
+)
+
+
+@given(
+    st.lists(eight_atom_formulas, min_size=1, max_size=3),
+    st.lists(eight_atom_formulas, max_size=3),
+)
+@settings(max_examples=150)
+def test_table_rows_match_the_oracle(formulas, constraints):
+    cons = ConstraintSet(tuple(constraints))
+    table = truth_table(formulas, cons)  # over 1 to 8 of the atoms a..h
+    envs = canonical_worlds(table.atoms)
+    assert len(table.rows) == len(envs)
+    for row, env in zip(table.rows, envs):
+        assert row.valuation.as_dict() == env
+        violated = tuple(c for c in cons if not oracle_eval(c, env))
+        assert row.violated == violated
+        assert row.excluded == bool(violated)
+        expected = None if violated else tuple(oracle_eval(f, env) for f in formulas)
+        assert row.values == expected
+
+
+def test_table_rows_are_built_on_first_access():
+    table = truth_table((parse("p | q"),), DEMO_CONSTRAINTS)
+    assert table.formula_bits == ("00111111",)
+    assert table.constraint_bits == ("11111100", "11111010")
+    assert table.excluded == "00000111"
+    assert "rows" not in vars(table)
+    assert table.rows is table.rows

@@ -11,9 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from klogic.classical import TruthTable
 from klogic.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
+from klogic.syntax import MAX_FORMULA_DEPTH
 
-GOLDEN = Path(__file__).parent / "data" / "demo.golden.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "demo.golden.txt"
 
 
 def run_cli(capsys, *argv):
@@ -91,7 +94,10 @@ def test_negative_atom_limit_is_a_usage_error(capsys, argv):
 
 def test_atom_limit_cannot_lift_the_column_ceiling(capsys):
     """Refused before any 2^n-bit column is built, whatever the limit."""
-    wide = " & ".join(f"a{i}" for i in range(400))
+    # 20 groups of 20 atoms: a flat 400-term chain is refused as too deep
+    wide = " & ".join(
+        "(" + " & ".join(f"a{i}" for i in range(j, j + 20)) + ")" for j in range(0, 400, 20)
+    )
     code, out, err = run_cli(capsys, "check", wide, "--atom-limit", "1000")
     assert (code, out) == (EXIT_ERROR, "")
     assert err.startswith("error: 400 atoms would need truth columns of 2^400 bits")
@@ -196,6 +202,74 @@ def test_table_json_format(capsys, demo_decl):
     excluded = [row for row in payload["rows"] if row["excluded"]]
     assert [row["valuation"] for row in excluded] == [[1, 0, 1], [1, 1, 0], [1, 1, 1]]
     assert all(row["values"] is None for row in excluded)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_formats_match_golden_files(capsys, demo_decl, fmt):
+    code, out, _ = run_cli(
+        capsys, "table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", demo_decl,
+        "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert out == (DATA / f"table.golden.{fmt}").read_text(encoding="utf-8")
+
+
+def test_table_output_never_builds_rows(capsys, monkeypatch, demo_decl):
+    def refuse(table):
+        raise AssertionError("rendering read TruthTable.rows")
+
+    monkeypatch.setattr(TruthTable, "rows", property(refuse))
+    for fmt in ("text", "csv", "json"):
+        code, _, _ = run_cli(capsys, "table", "p -> q", "--quantum", demo_decl, "--format", fmt)
+        assert code == EXIT_OK
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, "demo", "--format", fmt)[0] == EXIT_OK
+
+
+_CHAIN = " & ".join(f"a{i}" for i in range(3000))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "!" * 3000 + "p"),
+        ("check", "(" * 3000 + "p" + ")" * 3000),
+        ("check", _CHAIN),
+        ("table", _CHAIN),
+    ],
+    ids=["negations", "parentheses", "check-conjunction", "table-conjunction"],
+)
+def test_deep_nesting_exits_two_without_a_traceback(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "klogic", *argv], capture_output=True, text=True, check=False
+    )
+    assert (result.returncode, result.stdout) == (EXIT_ERROR, "")
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: syntax error at offset ")
+    assert f"nested more than {MAX_FORMULA_DEPTH} levels deep" in result.stderr
+
+
+def test_formulas_at_the_depth_limit_are_answered(capsys, tmp_path):
+    """Every recursive walk of a formula fits under the default recursion limit."""
+    half = MAX_FORMULA_DEPTH // 2
+    deep = [
+        "!" * MAX_FORMULA_DEPTH + "p",
+        "(" * (MAX_FORMULA_DEPTH - 1) + "p & q" + ")" * (MAX_FORMULA_DEPTH - 1),
+        " & ".join(["p", "q"] * half + ["p"]),
+        " -> ".join(["p", "q"] * half + ["p"]),
+        "!(" * half + "p" + ")" * half,
+    ]
+    lines = tmp_path / "deep.txt"
+    lines.write_text("\n".join(deep + deep) + "\n", encoding="utf-8")
+    for f in deep:
+        for argv in (
+            ("check", f, "--theory", str(lines), "--mode", "sat", "--format", "json"),
+            ("table", f, f, "--constraints", str(lines), "--format", "json"),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_NEGATIVE) and err == ""
+    nested_k = "K(" * (MAX_FORMULA_DEPTH - 1) + "p" + ")" * (MAX_FORMULA_DEPTH - 1) + " -> p"
+    assert run_cli(capsys, "check", nested_k)[:2] == (EXIT_OK, "VALID\n")
 
 
 def test_quantum_list_axioms(capsys, demo_decl):

@@ -22,7 +22,7 @@ from klogic import (
     render,
     subformulas,
 )
-from klogic.syntax import RESERVED_WORDS, is_atom_name
+from klogic.syntax import MAX_FORMULA_DEPTH, RESERVED_WORDS, is_atom_name
 
 atom_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,3}", fullmatch=True).filter(
     lambda s: s not in RESERVED_WORDS
@@ -127,6 +127,39 @@ def test_single_dash_and_single_angle_are_rejected():
         parse("p - q")
     with pytest.raises(ParseError):
         parse("p <- q")
+
+
+def _nested(shape: str, depth: int) -> str:
+    """A formula `depth` levels deep, built by repeating one construct."""
+    if shape == "!":
+        return "!" * depth + "p"
+    if shape in ("(", "K("):
+        return shape * depth + "p" + ")" * depth
+    return f" {shape} ".join(["p"] * (depth + 1))
+
+
+@pytest.mark.parametrize("shape", ["!", "(", "K(", "&", "|", "->", "<->"])
+def test_nesting_is_limited_at_the_crossing_token(shape):
+    at_limit = parse(_nested(shape, MAX_FORMULA_DEPTH))
+    assert parse(render(at_limit)) == at_limit
+    too_deep = _nested(shape, MAX_FORMULA_DEPTH + 1)
+    with pytest.raises(ParseError) as exc:
+        parse(too_deep)
+    assert f"nested more than {MAX_FORMULA_DEPTH} levels deep" in str(exc.value)
+    # refused at the token that opens level MAX_FORMULA_DEPTH + 1
+    if shape in ("!", "("):
+        assert exc.value.offset == MAX_FORMULA_DEPTH + 1
+    elif shape == "K(":
+        assert exc.value.offset == 2 * MAX_FORMULA_DEPTH + 1
+    else:  # the connective before the last operand
+        assert exc.value.offset == too_deep.rindex(shape) + 1
+
+
+def test_grouping_counts_toward_the_nesting_limit():
+    chain = " & ".join(["p"] * MAX_FORMULA_DEPTH)  # one level short
+    assert parse(f"({chain})") == parse(chain)
+    with pytest.raises(ParseError):
+        parse(f"(({chain}))")
 
 
 def test_render_examples():
