@@ -152,27 +152,64 @@ def _table_csv(table: TruthTable) -> str:
 
 
 def _table_json(table: TruthTable) -> dict:
-    names = [render(c) for c in table.constraints]
-    size = len(table.excluded)
-    rows = [
-        {
-            "valuation": list(bits),
-            "excluded": excluded == "1",
-            "violated": [name for name, b in zip(names, held) if b == "0"],
-            "values": None if excluded == "1" else [int(v) for v in values],
-        }
-        for bits, excluded, values, held in zip(
-            product((0, 1), repeat=len(table.atoms)),
-            table.excluded,
-            _by_row(table.formula_bits, size),
-            _by_row(table.constraint_bits, size),
-        )
-    ]
+    """A table report; its rows are written into the empty `rows` list by
+    _print_json."""
     return {
         "atoms": list(table.atoms),
         "formulas": [render(f) for f in table.formulas],
-        "rows": rows,
+        "rows": [],
     }
+
+
+# How json.dumps(..., indent=2) prints the empty `rows` list of a table
+# report.  It marks one place only: "rows" is the only key of that name in
+# a table or demo report, and the quotes of a string value are escaped.
+_ROWS_SLOT = '"rows": []'
+
+
+def _json_rows(table: TruthTable, level: int) -> Iterator[str]:
+    """The rows of `table` as json.dumps(..., indent=2) prints a report's
+    `rows` list whose key is indented `level` steps, in pieces.
+
+    A row is its valuation followed by a tail that depends only on the
+    row's excluded flag, formula values and constraint values.  Tables have
+    few distinct tails; each is printed by json.dumps once and reused.
+    """
+    nl = ["\n" + "  " * (level + k) for k in range(4)]
+    names = [render(c) for c in table.constraints]
+    close = nl[2] + "]," if table.atoms else "],"
+    tails: dict[tuple, str] = {}
+
+    def tail(excluded: str, values: tuple[str, ...], held: tuple[str, ...]) -> str:
+        text = json.dumps(
+            {
+                "excluded": excluded == "1",
+                "violated": [name for name, b in zip(names, held) if b == "0"],
+                "values": None if excluded == "1" else [int(v) for v in values],
+            },
+            indent=2,
+        )
+        # Without its "{", the dict printed at the top level is the row's
+        # remaining keys and closing brace, once indented to the row's depth.
+        return close + text[1:].replace("\n", nl[1])
+
+    open_row = nl[1] + "{" + nl[2] + '"valuation": ['
+    start = "[" + open_row
+    size = len(table.excluded)
+    for bits, key in zip(
+        product(*[(nl[3] + "0", nl[3] + "1")] * len(table.atoms)),
+        zip(
+            table.excluded,
+            _by_row(table.formula_bits, size),
+            _by_row(table.constraint_bits, size),
+        ),
+    ):
+        end = tails.get(key)
+        if end is None:
+            end = tails[key] = tail(*key)
+        yield start + ",".join(bits) + end
+        start = "," + open_row
+    yield nl[0] + "]"
 
 
 def _axiom_lines(gen: GeneratedTheory) -> list[str]:
@@ -212,8 +249,20 @@ def _print(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _print_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2) + "\n")
+def _print_json(report: dict, table: TruthTable | None = None) -> None:
+    """Write json.dumps(report, indent=2) and a newline.
+
+    With a table, whose report holds an empty `rows` list, the table's rows
+    are written in that list's place as they are produced, so the document
+    is never held whole.
+    """
+    text = json.dumps(report, indent=2)
+    if table is not None:
+        head, _, text = text.partition(_ROWS_SLOT)
+        sys.stdout.write(head + '"rows": ')
+        indent = len(head) - head.rfind("\n") - 1
+        sys.stdout.writelines(_json_rows(table, indent // 2))
+    sys.stdout.write(text + "\n")
 
 
 def _run_query(f: Formula, theory: Theory, mode: str, limit: int) -> CheckResult:
@@ -262,7 +311,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         report = {"command": "table"}
         report.update(_table_json(table))
         report["constraints"] = [render(c) for c in constraints]
-        _print_json(report)
+        _print_json(report, table)
     else:
         _print("\n".join(_table_lines(table)))
     return EXIT_OK
@@ -389,7 +438,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 "model": _model_json(merged_result.model),
             },
         }
-        _print_json(report)
+        _print_json(report, table)
         return EXIT_OK
 
     lines: list[str] = []

@@ -19,17 +19,17 @@ are reserved and cannot be used as atoms.
 Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
-`|` chains nest to the left.  Printing, evaluation, hashing and equality
-recurse through every level, equality about three interpreter frames per
-level, so 200 levels keep them under Python's default recursion limit of
-1000.  `parse` itself does not recurse and refuses deeper input with a
-ParseError.
+`|` chains nest to the left.  Printing, evaluation and equality recurse
+through every level, equality about three interpreter frames per level, so
+200 levels keep them under Python's default recursion limit of 1000.
+`parse` itself does not recurse and refuses deeper input with a ParseError;
+hashing does not recurse either (see Formula).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .errors import LogicError
@@ -48,7 +48,31 @@ def is_atom_name(name: str) -> bool:
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class; concrete cases below. Structural equality throughout."""
+    """Base class; concrete cases below. Structural equality throughout.
+
+    A node's hash is computed once, at construction, from its type and its
+    fields, whose subformulas hold theirs already; so hashing never walks a
+    subtree, however deep, and evaluation caches keyed by subformula stay
+    cheap.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Set on each class so that @dataclass keeps it rather than adding
+        # a hash that recomputes over the fields.
+        cls.__hash__ = Formula.__hash__
+
+    def __post_init__(self):
+        # Only the fields are set so far.
+        object.__setattr__(self, "_hash", hash((type(self), *vars(self).values())))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt through __init__: a stored hash is only valid in the
+        # process that computed it.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         return render(self)
@@ -71,6 +95,7 @@ class Var(Formula):
     def __post_init__(self):
         if not is_atom_name(self.name):
             raise ValueError(f"invalid atom name: {self.name!r}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

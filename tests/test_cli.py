@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -10,10 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from klogic.classical import TruthTable
-from klogic.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, main
-from klogic.syntax import MAX_FORMULA_DEPTH
+from klogic.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _print_json, _table_json, main
+from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "demo.golden.txt"
@@ -226,6 +228,94 @@ def test_table_output_never_builds_rows(capsys, monkeypatch, demo_decl):
         assert run_cli(capsys, "demo", "--format", fmt)[0] == EXIT_OK
 
 
+def _reference_rows(table: TruthTable) -> list[dict]:
+    """The JSON rows of `table`, read off its bit strings row by row."""
+    n = len(table.atoms)
+    rows = []
+    for i in range(1 << n):
+        held = [col[i] for col in table.constraint_bits]
+        excluded = "0" in held
+        rows.append(
+            {
+                "valuation": [(i >> (n - 1 - k)) & 1 for k in range(n)],
+                "excluded": excluded,
+                "violated": [
+                    render(c) for c, h in zip(table.constraints, held) if h == "0"
+                ],
+                "values": None if excluded else [int(col[i]) for col in table.formula_bits],
+            }
+        )
+    return rows
+
+
+@st.composite
+def _tables(draw) -> TruthTable:
+    """Tables over 0-8 atoms with 0-3 constraints and any bit strings, so
+    rows may violate several constraints at once."""
+    n = draw(st.integers(0, 8))
+    columns = st.text("01", min_size=1 << n, max_size=1 << n)
+    constraint_bits = draw(st.lists(columns, max_size=3))
+    formula_bits = draw(st.lists(columns, min_size=1, max_size=3))
+    excluded = "".join(
+        "1" if "0" in held else "0"
+        for held in zip(*constraint_bits, ["1"] * (1 << n))
+    )
+    return TruthTable(
+        tuple(f"a{k}" for k in range(n)),
+        tuple(Var(f"f{j}") for j in range(len(formula_bits))),
+        tuple(Var(f"c{j}") for j in range(len(constraint_bits))),
+        tuple(constraint_bits),
+        tuple(formula_bits),
+        excluded,
+    )
+
+
+_TRUE_TABLE = TruthTable((), (Var("t"),), (), (), ("1",), "0")  # `table true`
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.sampled_from(["table", "demo"]))
+@example(_TRUE_TABLE, "table")
+@example(_TRUE_TABLE, "demo")
+def test_json_rows_match_json_dumps(table, command):
+    def report(rows: list[dict]) -> dict:
+        body = _table_json(table)
+        body["rows"] = rows
+        if command == "table":  # rows one level deep
+            return {"command": "table", **body, "constraints": ["c"]}
+        return {"command": "demo", "table": body, "axioms": []}  # two levels
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _print_json(report([]), table)
+    assert out.getvalue() == json.dumps(report(_reference_rows(table)), indent=2) + "\n"
+
+
+def test_json_rows_never_go_through_json_dumps(capsys, monkeypatch, demo_decl):
+    dumps = json.dumps
+
+    def no_rows(obj, **kwargs):
+        pending = [obj]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, dict):
+                assert not item.get("rows"), "json.dumps was passed table rows"
+                pending.extend(item.values())
+            elif isinstance(item, list):
+                pending.extend(item)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", no_rows)
+    for argv in (
+        ("table", "p -> q", "--quantum", demo_decl, "--format", "json"),
+        ("table", "true", "--format", "json"),
+        ("demo", "--format", "json"),
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)
+
+
 _CHAIN = " & ".join(f"a{i}" for i in range(3000))
 
 
@@ -356,6 +446,12 @@ def test_demo_matches_golden_file(capsys):
     code, out, _ = run_cli(capsys, "demo")
     assert code == EXIT_OK
     assert out == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_demo_json_matches_golden_file(capsys):
+    code, out, _ = run_cli(capsys, "demo", "--format", "json")
+    assert code == EXIT_OK
+    assert out == (DATA / "demo.golden.json").read_text(encoding="utf-8")
 
 
 def test_demo_key_lines(capsys):

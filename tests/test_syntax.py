@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,6 +208,48 @@ def test_subformulas_cover_the_tree():
     assert {f, Know(Var("p")), Var("p"), Not(Var("q")), Var("q")} <= seen
 
 
+def _api_chain(depth: int, leaf: str):
+    """A formula `depth` levels deep, built through the constructors."""
+    f = Var(leaf)
+    wrap = (
+        Not,
+        Know,
+        lambda g: And(g, Var("p")),
+        lambda g: Or(Top(), g),
+        lambda g: Implies(g, Bottom()),
+        lambda g: Iff(Var("q"), g),
+    )
+    for level in range(depth):
+        f = wrap[level % len(wrap)](f)
+    return f
+
+
+def test_hashing_deep_api_formulas_does_not_recurse():
+    first, second = _api_chain(5000, "a"), _api_chain(5000, "a")
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert {first: 1}.get(_api_chain(5000, "b")) is None
+
+
+def test_formulas_unpickled_in_another_process_hash_as_built_there():
+    def run(code: str, seed: str, data: bytes = b"") -> bytes:
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", "import pickle, sys\nfrom klogic import parse\n" + code],
+            input=data, capture_output=True, env=env, check=True,
+        )
+        return done.stdout
+
+    data = run("sys.stdout.buffer.write(pickle.dumps(parse('K(p & q) -> !r')))", "1")
+    found = run(
+        "f = pickle.loads(sys.stdin.buffer.read())\n"
+        "print({parse('K(p & q) -> !r'): 'found'}.get(f))",
+        "2",
+        data,
+    )
+    assert found.decode().strip() == "found"
+
+
 def test_var_rejects_bad_names():
     for bad in ("", "P", "1a", "a-b", "K"):
         with pytest.raises(ValueError):
@@ -214,6 +260,7 @@ def test_var_rejects_bad_names():
 @settings(max_examples=300)
 def test_parse_render_round_trip(f):
     assert parse(render(f)) == f
+    assert hash(parse(render(f))) == hash(f)
 
 
 @given(formulas)
