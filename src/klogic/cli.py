@@ -6,9 +6,13 @@ axioms, and `demo` walks the built-in worked example end to end.
 
 Exit codes: 0 for an affirmative verdict (valid, satisfiable, or plain
 output), 1 for a negative verdict (invalid, unsatisfiable), 2 for usage,
-parse, or input-file errors.  Identical invocations produce byte-identical
-output; the engine's canonical enumeration order makes every reported
-model reproducible.
+parse, or input-file errors and for output that could not be written.
+Identical invocations produce byte-identical output; the engine's
+canonical enumeration order makes every reported model reproducible.
+
+Each command builds one report, the dict that `--format json` prints.
+Its text output is rendered from that dict and shows part of it; only
+`table` renders text and CSV straight from its `TruthTable`.
 """
 
 from __future__ import annotations
@@ -17,20 +21,15 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import product, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import classical, epistemic
 from .classical import ConstraintSet, TruthTable, is_tautology, truth_table
-from .declarations import (
-    Declarations,
-    format_declarations,
-    load_constraints,
-    load_declarations,
-    load_theory,
-)
+from .declarations import format_declarations, load_constraints, load_declarations, load_theory
 from .epistemic import (
     CheckResult,
     EpistemicModel,
@@ -74,19 +73,6 @@ def _add_atom_limit(p: argparse.ArgumentParser, default: int) -> None:
     )
 
 
-def _bit(b: bool) -> str:
-    return "1" if b else "0"
-
-
-def _model_lines(model: EpistemicModel, label: str) -> list[str]:
-    lines = [f"{label}:", f"  atoms: {' '.join(model.atoms)}"]
-    for i, world in enumerate(model.cell):
-        bits = " ".join(_bit(b) for b in world.bits)
-        tag = "  [designated]" if i == model.designated else ""
-        lines.append(f"  world {i}: {bits}{tag}")
-    return lines
-
-
 def _model_json(model: EpistemicModel) -> dict:
     return {
         "atoms": list(model.atoms),
@@ -104,13 +90,26 @@ def _check_json(result: CheckResult) -> dict:
     return out
 
 
-def _check_lines(result: CheckResult) -> list[str]:
-    lines = [result.verdict.name]
-    if result.verdict is Verdict.INVALID:
-        lines.extend(_model_lines(result.model, "countermodel"))
-    elif result.verdict is Verdict.SATISFIABLE:
-        lines.extend(_model_lines(result.model, "model"))
+def _model_lines(model: dict, label: str) -> list[str]:
+    lines = [f"{label}:", f"  atoms: {' '.join(model['atoms'])}"]
+    for i, bits in enumerate(model["worlds"]):
+        tag = "  [designated]" if i == model["designated"] else ""
+        lines.append(f"  world {i}: {' '.join(map(str, bits))}{tag}")
     return lines
+
+
+def _check_lines(report: dict) -> list[str]:
+    lines = [report["verdict"]]
+    for key in ("countermodel", "model"):
+        if key in report:
+            lines.extend(_model_lines(report[key], key))
+    return lines
+
+
+def _query_lines(report: dict) -> list[str]:
+    """A formula's verdict on one line, then the model that shows it."""
+    verdict, *model = _check_lines(report)
+    return [f"{report['formula']}: {verdict}", *model]
 
 
 def _by_row(columns: tuple[str, ...], rows: int) -> Iterator[tuple[str, ...]]:
@@ -212,16 +211,6 @@ def _json_rows(table: TruthTable, level: int) -> Iterator[str]:
     yield nl[0] + "]"
 
 
-def _axiom_lines(gen: GeneratedTheory) -> list[str]:
-    if not gen.provenance:
-        return ["no axioms generated"]
-    return [
-        f"{render(ax)}   [widths {pv.momentum.width} * {pv.position.width}"
-        f" = {pv.product} < {pv.bound}]"
-        for ax, pv in zip(gen.axioms.axioms, gen.provenance)
-    ]
-
-
 def _axioms_json(gen: GeneratedTheory) -> list[dict]:
     return [
         {
@@ -243,6 +232,20 @@ def _proposition_json(p: IntervalProposition) -> dict:
         "interval": [str(p.lo), str(p.hi)],
         "width": str(p.width),
     }
+
+
+def _axiom_lines(axioms: list[dict]) -> list[str]:
+    if not axioms:
+        return ["no axioms generated"]
+    return [
+        f"{a['formula']}   [widths {' * '.join(a['widths'])} = {a['product']} < {a['bound']}]"
+        for a in axioms
+    ]
+
+
+def _proposition_line(p: dict) -> str:
+    lo, hi = p["interval"]
+    return f"{p['atom']}: {p['kind']} in [{lo}, {hi}]  (width {p['width']})"
 
 
 def _print(text: str) -> None:
@@ -275,17 +278,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     f = parse(args.formula)
     theory = load_theory(args.theory) if args.theory else Theory()
     result = _run_query(f, theory, args.mode, args.atom_limit)
+    report = {
+        "command": "check",
+        "formula": render(f),
+        "mode": args.mode,
+        "theory": [render(a) for a in theory.axioms],
+        **_check_json(result),
+    }
     if args.format == "json":
-        report = {
-            "command": "check",
-            "formula": render(f),
-            "mode": args.mode,
-            "theory": [render(a) for a in theory.axioms],
-        }
-        report.update(_check_json(result))
         _print_json(report)
     else:
-        _print("\n".join(_check_lines(result)))
+        _print("\n".join(_check_lines(report)))
     return EXIT_OK if result.holds else EXIT_NEGATIVE
 
 
@@ -306,7 +309,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         constraints = ConstraintSet()
     table = truth_table(formulas, constraints, atom_limit=args.atom_limit)
     if args.format == "csv":
-        sys.stdout.write(_table_csv(table))
+        _print(_table_csv(table))
     elif args.format == "json":
         report = {"command": "table"}
         report.update(_table_json(table))
@@ -320,53 +323,39 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     decls = load_declarations(args.declarations)
     gen = generate(decls.propositions, decls.config)
-    exit_code = EXIT_OK
-    check_result = None
-    check_formula = None
+    check = None
     if args.check is not None:
-        check_formula = parse(args.check)
-        check_result = _run_query(check_formula, gen.axioms, args.mode, args.atom_limit)
-        if not check_result.holds:
-            exit_code = EXIT_NEGATIVE
+        f = parse(args.check)
+        result = _run_query(f, gen.axioms, args.mode, args.atom_limit)
+        check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 
-    if args.format == "json":
-        report = {
-            "command": "quantum",
-            "bound": str(decls.config.bound),
-            "propositions": [_proposition_json(p) for p in decls.propositions],
-            "axioms": _axioms_json(gen),
-            "constraints": [render(c) for c in gen.constraints],
-        }
-        if check_result is not None:
-            check_report = {"formula": render(check_formula), "mode": args.mode}
-            check_report.update(_check_json(check_result))
-            report["check"] = check_report
+    as_json = args.format == "json"
+    report: dict = {"command": "quantum", "bound": str(decls.config.bound)}
+    # Text prints no propositions or constraints, and axioms only on request;
+    # on a large file rendering them costs more than generating them.
+    if as_json:
+        report["propositions"] = [_proposition_json(p) for p in decls.propositions]
+    if as_json or args.list_axioms:
+        report["axioms"] = _axioms_json(gen)
+    if as_json:
+        report["constraints"] = [render(c) for c in gen.constraints]
+    if check is not None:
+        report["check"] = check
+
+    if as_json:
         _print_json(report)
-        return exit_code
-
-    lines: list[str] = []
-    if args.echo:
-        lines.extend(format_declarations(decls).splitlines())
-    if args.list_axioms:
-        lines.extend(_axiom_lines(gen))
-    if check_result is not None:
-        lines.extend(_check_lines(check_result))
-    if not lines:
-        lines.append(
+    else:
+        lines = format_declarations(decls).splitlines() if args.echo else []
+        if args.list_axioms:
+            lines.extend(_axiom_lines(report["axioms"]))
+        if check is not None:
+            lines.extend(_check_lines(check))
+        summary = (
             f"{len(decls.propositions)} propositions, {len(gen.axioms.axioms)} axioms, "
-            f"{len(gen.constraints)} constraints, bound {decls.config.bound}"
+            f"{len(gen.constraints)} constraints, bound {report['bound']}"
         )
-    _print("\n".join(lines))
-    return exit_code
-
-
-def _demo_inputs() -> tuple[Declarations, IntervalProposition]:
-    p = IntervalProposition("p", ObservableKind.MOMENTUM, Fraction(0), Fraction(1, 6))
-    q = IntervalProposition("q", ObservableKind.POSITION, Fraction(-1), Fraction(1))
-    r = IntervalProposition("r", ObservableKind.POSITION, Fraction(1), Fraction(3))
-    decls = Declarations((p, q, r), PhysicsConfig())
-    s = merge(q, r, "s")
-    return decls, s
+        _print("\n".join(lines or [summary]))
+    return EXIT_OK if check is None or result.holds else EXIT_NEGATIVE
 
 
 def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, bound: Fraction) -> str:
@@ -376,104 +365,89 @@ def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, bo
     return f"{m.atom} with {label}: {m.width} * {x.width} = {product} {rel} {bound}: {verdict}"
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    decls, s = _demo_inputs()
-    p, q, r = decls.propositions
-    bound = decls.config.bound
-    gen = generate(decls.propositions, decls.config)
-
+def _demo_report() -> tuple[dict, TruthTable]:
+    """The demo's report, and the truth table that fills its `rows` list."""
+    p = IntervalProposition("p", ObservableKind.MOMENTUM, Fraction(0), Fraction(1, 6))
+    q = IntervalProposition("q", ObservableKind.POSITION, Fraction(-1), Fraction(1))
+    r = IntervalProposition("r", ObservableKind.POSITION, Fraction(1), Fraction(3))
+    s = merge(q, r, "s")
+    config = PhysicsConfig()
+    bound = config.bound
+    gen = generate((p, q, r), config)
     distributivity = parse("p & (q | r) <-> (p & q) | (p & r)")
-    taut = is_tautology(distributivity)
-    table = truth_table(
-        (parse("p & (q | r)"), parse("(p & q) | (p & r)")), gen.constraints
-    )
-    joint = parse("K(p) & (K(q) | K(r))")
-    joint_result = is_satisfiable(joint, gen.axioms)
-    conj_law = parse("K(a & b) <-> K(a) & K(b)")
-    conj_result = is_valid(conj_law, Theory())
-    disj = parse("K(a | b) -> K(a) | K(b)")
-    disj_result = is_valid(disj, Theory())
-    merged_claim = parse("K(p & s) <-> K(p) & K(s)")
-    merged_result = is_satisfiable(merged_claim, Theory())
+    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), gen.constraints)
 
-    product_lines = [
-        _product_line(p, s, f"the full position range [{s.lo}, {s.hi}]", bound),
-        _product_line(p, q, q.atom, bound),
-        _product_line(p, r, r.atom, bound),
+    def query(text: str, decide: Callable[..., CheckResult], theory: Theory) -> dict:
+        f = parse(text)
+        return {"formula": render(f), **_check_json(decide(f, theory))}
+
+    report = {
+        "command": "demo",
+        "propositions": [_proposition_json(x) for x in (p, q, r)],
+        "uncertainty": {
+            "bound": str(bound),
+            "products": [
+                _product_line(p, s, f"the full position range [{s.lo}, {s.hi}]", bound),
+                _product_line(p, q, q.atom, bound),
+                _product_line(p, r, r.atom, bound),
+            ],
+        },
+        "classical_distributivity": {
+            "formula": render(distributivity),
+            "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
+        },
+        "table": _table_json(table),
+        "axioms": _axioms_json(gen),
+        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, gen.axioms),
+        "k_distribution": {
+            "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),
+            "disjunction_distribution": query("K(a | b) -> K(a) | K(b)", is_valid, Theory()),
+        },
+        "merge": {
+            "merged": _proposition_json(s),
+            **query("K(p & s) <-> K(p) & K(s)", is_satisfiable, Theory()),
+        },
+    }
+    return report, table
+
+
+def _demo_lines(report: dict, table: TruthTable) -> list[str]:
+    """The demo's text: the sections of `report` under numbered headings,
+    with `table`, whose rows the report leaves out, as section (4)."""
+    _, q, r = propositions = report["propositions"]
+    k, merged = report["k_distribution"], report["merge"]
+
+    def indent(body: list[str]) -> list[str]:
+        return ["  " + line for line in body]
+
+    sections = [
+        ("(1) interval propositions", indent([_proposition_line(x) for x in propositions])),
+        (
+            f"(2) uncertainty products, bound {report['uncertainty']['bound']}",
+            indent(report["uncertainty"]["products"]),
+        ),
+        ("(3) classical distributivity", indent(_query_lines(report["classical_distributivity"]))),
+        ("(4) truth table under the physical constraints", _table_lines(table)),
+        ("(5) generated axioms", indent(_axiom_lines(report["axioms"]))),
+        ("(6) joint knowledge under the axioms", indent(_query_lines(report["joint_knowledge"]))),
+        (
+            "(7) how K distributes",
+            indent(_query_lines(k["conjunction_law"]) + _query_lines(k["disjunction_distribution"])),
+        ),
+        (
+            f"(8) coarse position s = merge({q['atom']}, {r['atom']})",
+            indent([_proposition_line(merged["merged"]), *_query_lines(merged)]),
+        ),
     ]
+    return [line for heading, body in sections for line in ("", heading, *body)][1:]
 
+
+def _cmd_demo(args: argparse.Namespace) -> int:
+    report, table = _demo_report()
     if args.format == "json":
-        report = {
-            "command": "demo",
-            "propositions": [_proposition_json(x) for x in decls.propositions],
-            "uncertainty": {
-                "bound": str(bound),
-                "products": product_lines,
-            },
-            "classical_distributivity": {
-                "formula": render(distributivity),
-                "verdict": "TAUTOLOGY" if taut.holds else "NOT A TAUTOLOGY",
-            },
-            "table": _table_json(table),
-            "axioms": _axioms_json(gen),
-            "joint_knowledge": {
-                "formula": render(joint),
-                "verdict": joint_result.verdict.name,
-            },
-            "k_distribution": {
-                "conjunction_law": {
-                    "formula": render(conj_law),
-                    "verdict": conj_result.verdict.name,
-                },
-                "disjunction_distribution": {
-                    "formula": render(disj),
-                    "verdict": disj_result.verdict.name,
-                    "countermodel": _model_json(disj_result.model),
-                },
-            },
-            "merge": {
-                "merged": _proposition_json(s),
-                "formula": render(merged_claim),
-                "verdict": merged_result.verdict.name,
-                "model": _model_json(merged_result.model),
-            },
-        }
         _print_json(report, table)
-        return EXIT_OK
-
-    lines: list[str] = []
-    lines.append("(1) interval propositions")
-    for x in decls.propositions:
-        lines.append(f"  {x.atom}: {x.kind.value} in [{x.lo}, {x.hi}]  (width {x.width})")
-    lines.append("")
-    lines.append(f"(2) uncertainty products, bound {bound}")
-    lines.extend(f"  {line}" for line in product_lines)
-    lines.append("")
-    lines.append("(3) classical distributivity")
-    lines.append(
-        f"  {render(distributivity)}: "
-        + ("TAUTOLOGY" if taut.holds else "NOT A TAUTOLOGY")
-    )
-    lines.append("")
-    lines.append("(4) truth table under the physical constraints")
-    lines.extend(_table_lines(table))
-    lines.append("")
-    lines.append("(5) generated axioms")
-    lines.extend(f"  {line}" for line in _axiom_lines(gen))
-    lines.append("")
-    lines.append("(6) joint knowledge under the axioms")
-    lines.append(f"  {render(joint)}: {joint_result.verdict.name}")
-    lines.append("")
-    lines.append("(7) how K distributes")
-    lines.append(f"  {render(conj_law)}: {conj_result.verdict.name}")
-    lines.append(f"  {render(disj)}: {disj_result.verdict.name}")
-    lines.extend(f"  {line}" for line in _model_lines(disj_result.model, "countermodel"))
-    lines.append("")
-    lines.append(f"(8) coarse position s = merge({q.atom}, {r.atom})")
-    lines.append(f"  {s.atom}: {s.kind.value} in [{s.lo}, {s.hi}]  (width {s.width})")
-    lines.append(f"  {render(merged_claim)}: {merged_result.verdict.name}")
-    lines.extend(f"  {line}" for line in _model_lines(merged_result.model, "model"))
-    _print("\n".join(lines))
+    else:
+        _print("\n".join(_demo_lines(report, table)))
     return EXIT_OK
 
 
@@ -521,19 +495,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
-    try:
-        return args.handler(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:  # argparse has printed help or a usage error
+            code = EXIT_ERROR if e.code not in (0, None) else EXIT_OK
+        else:
+            code = args.handler(args)
+        sys.stdout.flush()
     except LogicError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as e:
-        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+    except OSError as e:  # input files are read by declarations: this is stdout
+        print(f"error: cannot write output: {e.strerror}", file=sys.stderr)
+        # What stdout still holds would fail again when Python flushes it at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_ERROR
+    return code
 
 
 def run() -> None:

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .classical import ConstraintSet
 from .epistemic import Theory
-from .errors import InputFileError
+from .errors import InputFileError, LogicError
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
 from .syntax import Formula, ParseError, is_atom_name, modal_depth, parse, render
 
@@ -36,12 +36,21 @@ _ATOM_LINE_RE = re.compile(
 )
 _BOUND_LINE_RE = re.compile(r"bound\s+(?P<value>\S+)\Z")
 
+# Widths and products of literals this long print at most 4000 digits per
+# integer, under Python's default int-to-str limit of 4300.
+MAX_RATIONAL_DIGITS = 1000
+
 
 def parse_rational(text: str) -> Fraction:
     """Exact conversion of a/b, integer, or finite-decimal literals."""
     if not _RATIONAL_RE.match(text):
         raise ValueError(
             f"not a rational literal: {text!r} (use a/b, an integer, or a finite decimal)"
+        )
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational literal has {digits} digits (at most {MAX_RATIONAL_DIGITS} are allowed)"
         )
     try:
         return Fraction(text)
@@ -123,8 +132,11 @@ def format_declarations(decls: Declarations) -> str:
 
 def _read(path: str) -> str:
     """A UTF-8 file's text; a bad byte is reported at its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise LogicError(f"cannot read {path}: {e.strerror}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -6,6 +6,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from klogic.classical import TruthTable
-from klogic.cli import EXIT_ERROR, EXIT_NEGATIVE, EXIT_OK, _print_json, _table_json, main
+from klogic.cli import (
+    EXIT_ERROR,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    _axiom_lines,
+    _check_lines,
+    _demo_lines,
+    _demo_report,
+    _print_json,
+    _table_json,
+    main,
+)
+from klogic.declarations import MAX_RATIONAL_DIGITS
 from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
 
 DATA = Path(__file__).parent / "data"
@@ -121,9 +135,13 @@ def test_non_utf8_input_file_exits_two_at_its_line(capsys, tmp_path, argv):
 
 
 def test_missing_theory_file_exits_two(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "check", "p", "--theory", str(tmp_path / "nope.thy"))
+    missing = tmp_path / "nope.thy"
+    code, _, err = run_cli(capsys, "check", "p", "--theory", str(missing))
     assert code == EXIT_ERROR
-    assert err.startswith("error: cannot read")
+    assert err == f"error: cannot read {missing}: No such file or directory\n"
+    code, _, err = run_cli(capsys, "quantum", str(tmp_path))
+    assert code == EXIT_ERROR
+    assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -502,3 +520,199 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert result.returncode == EXIT_ERROR
     assert "syntax error" in result.stderr
+
+
+# Verdicts VALID/INVALID and SATISFIABLE/UNSATISFIABLE, with and without a theory.
+@pytest.mark.parametrize("formula", ["K(p) -> p", "K(p | q) -> K(p) | K(q)", "K(p) & (K(q) | K(r))"])
+@pytest.mark.parametrize("mode", ["valid", "sat"])
+@pytest.mark.parametrize("with_theory", [False, True], ids=["no-theory", "theory"])
+def test_check_text_is_rendered_from_the_json_report(capsys, demo_theory, formula, mode, with_theory):
+    argv = ["check", formula, "--mode", mode] + (["--theory", demo_theory] if with_theory else [])
+    code, text, _ = run_cli(capsys, *argv)
+    json_code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == json_code
+    assert "\n".join(_check_lines(json.loads(out))) + "\n" == text
+
+
+@pytest.mark.parametrize(
+    "flags, section, renderer",
+    [
+        (["--list-axioms"], "axioms", _axiom_lines),
+        (["--check", "K(p) & (K(q) | K(r))", "--mode", "sat"], "check", _check_lines),
+        (["--check", "K(p) -> !K(q)"], "check", _check_lines),
+        (["--check", "K(q) | K(r)", "--mode", "sat"], "check", _check_lines),
+    ],
+)
+def test_quantum_text_is_rendered_from_the_json_report(capsys, tmp_path, demo_decl, flags, section, renderer):
+    no_axioms = tmp_path / "empty.decl"
+    no_axioms.write_text("atom p momentum [0, 1]\natom q position [0, 1]\n", encoding="utf-8")
+    for decl in (demo_decl, str(no_axioms)):
+        code, text, _ = run_cli(capsys, "quantum", decl, *flags)
+        json_code, out, _ = run_cli(capsys, "quantum", decl, *flags, "--format", "json")
+        assert code == json_code
+        assert "\n".join(renderer(json.loads(out)[section])) + "\n" == text
+
+
+def test_demo_text_is_rendered_from_the_json_report(capsys):
+    _, out, _ = run_cli(capsys, "demo", "--format", "json")
+    _, table = _demo_report()
+    assert "\n".join(_demo_lines(json.loads(out), table)) + "\n" == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_rational_literals_longer_than_the_cap_exit_two_at_their_line(capsys, tmp_path):
+    decl = tmp_path / "long.decl"
+    wide = "1/1" + "0" * 2200  # the product of two such widths has 8801 digits
+    decl.write_text(f"atom p momentum [0, {wide}]\natom q position [0, {wide}]\n", encoding="utf-8")
+    for flags in (["--list-axioms"], ["--format", "json"]):
+        code, out, err = run_cli(capsys, "quantum", str(decl), *flags)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == (
+            f"error: {decl}:1: rational literal has 2202 digits "
+            f"(at most {MAX_RATIONAL_DIGITS} are allowed)\n"
+        )
+    decl.write_text("bound 1/2\natom p momentum [0, 1" + "0" * 5000 + "]\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "quantum", str(decl))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err.startswith(f"error: {decl}:2: rational literal has 5001 digits")
+
+
+def test_the_widest_literals_under_the_cap_are_printed(capsys, tmp_path):
+    # Four pairwise coprime 999-digit denominators: each width has a
+    # 1997-digit denominator, and their product, reduced by 3, one of 3992.
+    n = 10 ** (MAX_RATIONAL_DIGITS - 2)
+    decl = tmp_path / "wide.decl"
+    decl.write_text(
+        f"atom p momentum [-1/{n + 1}, 1/{n + 3}]\natom q position [-1/{n + 5}, 1/{n + 7}]\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, "quantum", str(decl), "--list-axioms")
+    assert code == EXIT_OK
+    assert out.startswith("K(p) -> !K(q)   [widths ")
+    code, out, _ = run_cli(capsys, "quantum", str(decl), "--format", "json")
+    assert code == EXIT_OK
+    (axiom,) = json.loads(out)["axioms"]
+    assert len(axiom["product"].partition("/")[2]) == 3992
+
+
+_SIXTEEN_ATOMS = " | ".join(f"a{i}" for i in range(16))
+
+
+def _run_with_closed_stdout(argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "klogic", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "K(a)"), ("table", "p", "--format", "json"), ("demo",), ("table", _SIXTEEN_ATOMS)],
+    ids=["check-negative", "table-json", "demo", "table-16-atoms"],
+)
+def test_a_failed_write_exits_two_with_one_error_line(argv, unbuffered):
+    result = _run_with_closed_stdout(argv, unbuffered)
+    assert result.returncode == EXIT_ERROR
+    assert result.stderr == "error: cannot write output: Broken pipe\n"
+
+
+def test_a_failed_write_of_the_help_text_exits_two():
+    # argparse itself ignores the failure when stdout is unbuffered
+    result = _run_with_closed_stdout(["--help"], unbuffered=False)
+    assert result.returncode == EXIT_ERROR
+    assert result.stderr == "error: cannot write output: Broken pipe\n"
+
+
+# The CLI contract over generated argv and input files.  Formulas use the
+# atoms a, b and c, and modal commands run with an atom limit of at most 3:
+# a modal search over 4 atoms takes seconds.
+_FORMULAS = st.one_of(
+    st.recursive(
+        st.sampled_from(["a", "b", "c", "true", "false"]),
+        lambda sub: st.one_of(
+            sub.map("!{}".format),
+            sub.map("K({})".format),
+            st.builds("({} {} {})".format, sub, st.sampled_from(["&", "|", "->", "<->"]), sub),
+        ),
+        max_leaves=6,
+    ),
+    st.text("abcK()!&|-<> ", max_size=12),
+)
+_LITERALS = st.one_of(
+    st.from_regex(r"[+-]?\d{1,3}(/\d{1,3}|\.\d{1,3})?", fullmatch=True),
+    st.builds(
+        "{}{}{}".format,
+        st.sampled_from(["", "-", "0.", "1/"]),
+        st.integers(1, 5000).map("1".__mul__),
+        st.sampled_from(["", "/7"]),
+    ),
+)
+_DECLARATION_LINES = st.one_of(
+    st.builds(
+        "atom {} {} [{}, {}]".format,
+        st.sampled_from("abc"),
+        st.sampled_from(["momentum", "position", "spin"]),
+        _LITERALS,
+        _LITERALS,
+    ),
+    _LITERALS.map("bound {}".format),
+    st.just("# comment"),
+)
+_INPUT_FILES = st.one_of(
+    st.binary(max_size=40),
+    st.lists(_DECLARATION_LINES, max_size=4).map("\n".join).map(str.encode),
+    st.lists(_FORMULAS, max_size=3).map("\n".join).map(str.encode),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_run_keeps_the_exit_code_contract(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "contract-input"
+    path.write_bytes(data.draw(_INPUT_FILES))
+
+    def draw_flag(*words: str) -> list[str]:
+        return list(words) if data.draw(st.booleans()) else []
+
+    modal = ["--mode", data.draw(st.sampled_from(["valid", "sat"])),
+             "--atom-limit", str(data.draw(st.integers(0, 3)))]
+    command = data.draw(st.sampled_from(["check", "table", "quantum", "demo"]))
+    fmt = data.draw(st.sampled_from(["text", "csv", "json"] if command == "table" else ["text", "json"]))
+    if command == "check":
+        argv = [data.draw(_FORMULAS), *modal, *draw_flag("--theory", str(path))]
+    elif command == "table":
+        argv = data.draw(st.lists(_FORMULAS, min_size=1, max_size=2))
+        argv += data.draw(st.sampled_from([[], ["--constraints", str(path)], ["--quantum", str(path)]]))
+    elif command == "quantum":
+        argv = [str(path), *modal, *draw_flag("--echo"), *draw_flag("--list-axioms")]
+        argv += draw_flag("--check", data.draw(_FORMULAS))
+    else:
+        argv = []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *argv, "--format", fmt])
+    out, err = out.getvalue(), err.getvalue()
+    if code == EXIT_ERROR:
+        assert out == ""
+        assert re.fullmatch(r"(klogic[\w ]*: )?error: [^\n]+\n", err.splitlines(True)[-1])
+        assert "Traceback" not in err
+        return
+    assert code in (EXIT_OK, EXIT_NEGATIVE) and err == ""
+    if fmt == "json":
+        report = json.loads(out)
+        verdict = report.get("check", report).get("verdict")
+    else:
+        verdict = next((v for v in ("INVALID", "UNSATISFIABLE") if v in out.splitlines()), None)
+    assert (code == EXIT_NEGATIVE) == (verdict in ("INVALID", "UNSATISFIABLE"))
