@@ -14,11 +14,11 @@ are refused above MAX_COLUMN_ATOMS atoms whatever the atom limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .errors import AtomLimitExceeded, ModalOperatorPresent, UnknownAtom
 from .syntax import (
     And,
@@ -40,8 +40,7 @@ DEFAULT_ATOM_LIMIT = 16
 MAX_COLUMN_ATOMS = 24  # a column over 24 atoms is 2^24 bits, 2 MiB
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """A total truth assignment over a sorted, duplicate-free atom tuple."""
 
     atoms: tuple[str, ...]
@@ -149,8 +148,7 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(Record):
     """K-free formulas acting as feasibility constraints on table rows."""
 
     constraints: tuple[Formula, ...] = ()
@@ -174,16 +172,14 @@ class ConstraintSet:
         return set().union(*map(atoms, self.constraints))
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     valuation: Valuation
     excluded: bool
     violated: tuple[Formula, ...]
     values: tuple[bool, ...] | None  # None exactly when excluded
 
 
-@dataclass(frozen=True)
-class TruthTable:
+class TruthTable(Record):
     """A constrained truth table, held as one bit string per column.
 
     Character i of each string in `constraint_bits` and `formula_bits` is
@@ -279,8 +275,7 @@ def truth_table(
     )
 
 
-@dataclass(frozen=True)
-class ClassicalVerdict:
+class ClassicalVerdict(Record):
     """Outcome of a universally quantified classical check.
 
     holds=True means no counterexample exists; otherwise `witness` is the

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -496,6 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        if sys.stdout is None:  # the process started with file descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as e:  # argparse has printed help or a usage error
@@ -508,10 +511,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     except OSError as e:  # input files are read by declarations: this is stdout
         print(f"error: cannot write output: {e.strerror}", file=sys.stderr)
-        # What stdout still holds would fail again when Python flushes it at exit.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            # What stdout still holds would fail again when Python flushes it at exit.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return EXIT_ERROR
     return code
 

@@ -19,9 +19,9 @@ K-free.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .classical import ConstraintSet
 from .epistemic import Theory
 from .errors import InputFileError, LogicError
@@ -58,8 +58,7 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-@dataclass(frozen=True)
-class Declarations:
+class Declarations(Record):
     """Parsed contents of a declaration file."""
 
     propositions: tuple[IntervalProposition, ...] = ()

@@ -18,9 +18,9 @@ this enumeration is exhaustive up to semantic equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import AtomLimitExceeded
 from .syntax import Bottom, Formula, Iff, Know, Not, Top, Var, atoms, modal_depth
 from .classical import (
@@ -35,8 +35,7 @@ from .classical import (
 DEFAULT_MODAL_ATOM_LIMIT = 4
 
 
-@dataclass(frozen=True)
-class EpistemicModel:
+class EpistemicModel(Record):
     """One S5 equivalence class: distinct valuations plus a designated world."""
 
     atoms: tuple[str, ...]
@@ -65,8 +64,7 @@ class EpistemicModel:
         return self.cell[self.designated]
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Record):
     """Global axioms: a model satisfies the theory iff every axiom holds at
     every world of the cell."""
 
@@ -86,8 +84,7 @@ class Verdict(str, Enum):
     UNSATISFIABLE = "unsatisfiable"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Query outcome; `model` is the countermodel for INVALID and the
     witnessing model for SATISFIABLE, None otherwise."""
 

@@ -13,10 +13,10 @@ to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .classical import ConstraintSet
 from .epistemic import Theory
 from .errors import DisjointIntervals, DuplicateAtom, KindMismatch
@@ -27,8 +27,7 @@ class ObservableKind(Enum):
     MOMENTUM = "momentum"
 
 
-@dataclass(frozen=True)
-class IntervalProposition:
+class IntervalProposition(Record):
     """An atom asserting that an observable lies in [lo, hi] (natural units)."""
 
     atom: str
@@ -55,8 +54,7 @@ class IntervalProposition:
         return Var(self.atom)
 
 
-@dataclass(frozen=True)
-class PhysicsConfig:
+class PhysicsConfig(Record):
     """Right-hand side of the uncertainty inequality; 1/2 in natural units."""
 
     bound: Fraction = Fraction(1, 2)
@@ -107,8 +105,7 @@ def merge(
     return IntervalProposition(new_name, a.kind, min(a.lo, b.lo), max(a.hi, b.hi))
 
 
-@dataclass(frozen=True)
-class AxiomProvenance:
+class AxiomProvenance(Record):
     """Why one axiom exists: the pair and its recomputable width product."""
 
     momentum: IntervalProposition
@@ -117,8 +114,7 @@ class AxiomProvenance:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class GeneratedTheory:
+class GeneratedTheory(Record):
     axioms: Theory
     constraints: ConstraintSet
     provenance: tuple[AxiomProvenance, ...]
@@ -138,19 +134,25 @@ def generate(
     axioms: list[Formula] = []
     constraints: list[Formula] = []
     provenance: list[AxiomProvenance] = []
+    positions = []
+    for x in props:
+        if x.kind is ObservableKind.POSITION:
+            x_var = x.var
+            positions.append((x, x.width, x_var, Not(Know(x_var))))
     for m in props:
         if m.kind is not ObservableKind.MOMENTUM:
             continue
-        for x in props:
-            if x.kind is not ObservableKind.POSITION:
+        m_width, m_var = m.width, m.var
+        knows_m = Know(m_var)
+        # Widths are positive, so m.width * x.width < bound exactly when
+        # x.width < bound / m.width.
+        threshold = cfg.bound / m_width
+        for x, x_width, x_var, not_knows_x in positions:
+            if x_width >= threshold:
                 continue
-            if compatible(m, x, cfg):
-                continue
-            axioms.append(Implies(Know(m.var), Not(Know(x.var))))
-            constraints.append(Not(And(m.var, x.var)))
-            provenance.append(
-                AxiomProvenance(m, x, uncertainty_product(m, x), cfg.bound)
-            )
+            axioms.append(Implies(knows_m, not_knows_x))
+            constraints.append(Not(And(m_var, x_var)))
+            provenance.append(AxiomProvenance(m, x, m_width * x_width, cfg.bound))
     return GeneratedTheory(
         Theory(tuple(axioms)), ConstraintSet(tuple(constraints)), tuple(provenance)
     )

@@ -20,8 +20,10 @@ Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
 `|` chains nest to the left.  Printing, evaluation and equality recurse
-through every level, equality about three interpreter frames per level, so
-200 levels keep them under Python's default recursion limit of 1000.
+through every level.  Equality counts three steps of Python's recursion
+limit per level on Python 3.10 and 3.11 (331 levels fit under the default
+limit of 1000), fewer on later versions; printing and evaluation count
+one.  So 200 levels keep them under the default limit.
 `parse` itself does not recurse and refuses deeper input with a ParseError;
 hashing does not recurse either (see Formula).
 """
@@ -29,9 +31,9 @@ hashing does not recurse either (see Formula).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from typing import Iterator
 
+from ._record import Record
 from .errors import LogicError
 
 MAX_FORMULA_DEPTH = 200
@@ -46,88 +48,81 @@ def is_atom_name(name: str) -> bool:
     return bool(_ATOM_RE.match(name)) and name not in RESERVED_WORDS
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     """Base class; concrete cases below. Structural equality throughout.
 
     A node's hash is computed once, at construction, from its type and its
     fields, whose subformulas hold theirs already; so hashing never walks a
     subtree, however deep, and evaluation caches keyed by subformula stay
-    cheap.
+    cheap.  Equality compares two nodes' attribute dicts, which hold the
+    hash and then the fields, so the comparison runs in C and nodes with
+    differing hashes are unequal without a look at their subformulas.
+    Pickling rebuilds a node through `__init__`, because a stored hash is
+    valid only in the process that computed it.
     """
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # Set on each class so that @dataclass keeps it rather than adding
-        # a hash that recomputes over the fields.
-        cls.__hash__ = Formula.__hash__
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        if kwargs or len(args) != len(fields):
+            values = self._bind(args, kwargs)
+            args = tuple([values[name] for name in fields])
+        state = self.__dict__
+        state["_hash"] = hash((type(self), *args))  # first, so __eq__ compares it first
+        state.update(zip(fields, args))
 
-    def __post_init__(self):
-        # Only the fields are set so far.
-        object.__setattr__(self, "_hash", hash((type(self), *vars(self).values())))
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # Rebuilt through __init__: a stored hash is only valid in the
-        # process that computed it.
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Bottom(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Var(Formula):
     name: str
 
-    def __post_init__(self):
-        if not is_atom_name(self.name):
-            raise ValueError(f"invalid atom name: {self.name!r}")
-        super().__post_init__()
+    def __init__(self, name: str):
+        if not is_atom_name(name):
+            raise ValueError(f"invalid atom name: {name!r}")
+        super().__init__(name)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Know(Formula):
     operand: Formula
 
@@ -152,11 +147,13 @@ _TOKEN_NAMES = {
 }
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # "ident" | one of the keys in _TOKEN_NAMES
-    text: str
-    pos: int  # 0-based character offset
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # "ident" | one of the keys in _TOKEN_NAMES
+        self.text = text
+        self.pos = pos  # 0-based character offset
 
     def describe(self) -> str:
         if self.kind == "ident":

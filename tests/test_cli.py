@@ -635,6 +635,25 @@ def test_a_failed_write_of_the_help_text_exits_two():
     assert result.stderr == "error: cannot write output: Broken pipe\n"
 
 
+@pytest.mark.parametrize("command", ["check", "table", "quantum", "demo"])
+def test_a_closed_stdout_exits_two_with_one_error_line(command, demo_decl):
+    # Python sets sys.stdout to None when file descriptor 1 is closed at start-up.
+    argv = {
+        "check": ["check", "K(a)"],
+        "table": ["table", "p | q"],
+        "quantum": ["quantum", demo_decl],
+        "demo": ["demo"],
+    }[command]
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m klogic "$@" >&-', sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == EXIT_ERROR
+    assert result.stderr == "error: cannot write output: Bad file descriptor\n"
+
+
 # The CLI contract over generated argv and input files.  Formulas use the
 # atoms a, b and c, and modal commands run with an atom limit of at most 3:
 # a modal search over 4 atoms takes seconds.

@@ -6,16 +6,23 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klogic import (
+    And,
+    AxiomProvenance,
     ConstraintSet,
     DisjointIntervals,
     DuplicateAtom,
+    Implies,
     IntervalProposition,
     KindMismatch,
+    Know,
+    Not,
     ObservableKind,
     PhysicsConfig,
+    Theory,
+    Var,
     compatible,
     generate,
     merge,
@@ -240,3 +247,38 @@ def test_generate_handles_many_pairs_in_declaration_order():
     ]
     assert [(pv.momentum, pv.position) for pv in gen.provenance] == expected
     assert len(gen.axioms.axioms) == len(expected)
+
+
+# Widths and bounds from a small set, so that many width products fall
+# exactly on the bound.
+_widths = st.sampled_from(
+    [Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+     Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)]
+)
+_declared = st.lists(
+    st.tuples(st.sampled_from([MOM, POS]), st.integers(-3, 3), _widths), max_size=12
+)
+
+
+@given(_declared, st.sampled_from([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+@example([(MOM, 0, Fraction(1, 2)), (POS, -1, Fraction(1))], Fraction(1, 2))
+@example([(POS, 0, Fraction(1, 3)), (MOM, 2, Fraction(3, 2)), (POS, 1, Fraction(1, 4))], Fraction(1, 2))
+@settings(max_examples=200)
+def test_generate_matches_a_pairwise_loop(declared, bound):
+    props = tuple(
+        IntervalProposition(f"a{i}", kind, Fraction(lo), lo + width)
+        for i, (kind, lo, width) in enumerate(declared)
+    )
+    cfg = PhysicsConfig(bound)
+    axioms, constraints, provenance = [], [], []
+    for m in props:
+        for x in props:
+            if m.kind is MOM and x.kind is POS and not compatible(m, x, cfg):
+                axioms.append(Implies(Know(Var(m.atom)), Not(Know(Var(x.atom)))))
+                constraints.append(Not(And(Var(m.atom), Var(x.atom))))
+                provenance.append(AxiomProvenance(m, x, uncertainty_product(m, x), bound))
+    gen = generate(props, cfg)
+    assert gen.axioms == Theory(tuple(axioms))
+    assert gen.axioms.axioms == tuple(axioms)
+    assert gen.constraints.constraints == tuple(constraints)
+    assert gen.provenance == tuple(provenance)

@@ -231,6 +231,10 @@ def test_hashing_deep_api_formulas_does_not_recurse():
     assert {first: 1}.get(_api_chain(5000, "b")) is None
 
 
+def test_deep_formulas_with_differing_hashes_compare_without_recursing():
+    assert _api_chain(5000, "a") != _api_chain(5000, "b")
+
+
 def test_formulas_unpickled_in_another_process_hash_as_built_there():
     def run(code: str, seed: str, data: bytes = b"") -> bytes:
         env = {**os.environ, "PYTHONHASHSEED": seed}
