@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -56,9 +57,13 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
-_ATOM_LIMIT_HELP = (
+_MODAL_LIMIT_HELP = (
     "override the atom limit; modal search enumerates 2^(2^n) candidate "
     "cells over n atoms, so raise with care"
+)
+_CLASSICAL_LIMIT_HELP = (
+    "override the atom limit; a truth table visits 2^n valuations over "
+    "n atoms, so raise with care"
 )
 
 
@@ -68,10 +73,8 @@ def _atom_limit(text: str) -> int:
     return int(text)
 
 
-def _add_atom_limit(p: argparse.ArgumentParser, default: int) -> None:
-    p.add_argument(
-        "--atom-limit", type=_atom_limit, default=default, metavar="N", help=_ATOM_LIMIT_HELP
-    )
+def _add_atom_limit(p: argparse.ArgumentParser, default: int, help: str) -> None:
+    p.add_argument("--atom-limit", type=_atom_limit, default=default, metavar="N", help=help)
 
 
 def _model_json(model: EpistemicModel) -> dict:
@@ -464,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theory", metavar="PATH", help="global axioms, one formula per line")
     p.add_argument("--mode", choices=("valid", "sat"), default="valid")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
+    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT, _MODAL_LIMIT_HELP)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("table", help="print a constrained truth table (K-free formulas)")
@@ -475,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quantum", metavar="PATH", help="declaration file; its generated constraints apply"
     )
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    _add_atom_limit(p, classical.DEFAULT_ATOM_LIMIT)
+    _add_atom_limit(p, classical.DEFAULT_ATOM_LIMIT, _CLASSICAL_LIMIT_HELP)
     p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("quantum", help="generate epistemic axioms from interval declarations")
@@ -485,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", metavar="FORMULA", help="query under the generated axioms")
     p.add_argument("--mode", choices=("valid", "sat"), default="valid")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT)
+    _add_atom_limit(p, epistemic.DEFAULT_MODAL_ATOM_LIMIT, _MODAL_LIMIT_HELP)
     p.set_defaults(handler=_cmd_quantum)
 
     p = sub.add_parser("demo", help="run the built-in worked example end to end")
@@ -495,12 +498,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call.  parse_args leaves a
+    parser unchanged, so one serves every later call in the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         if sys.stdout is None:  # the process started with file descriptor 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         try:
-            args = build_parser().parse_args(argv)
+            args = _parser().parse_args(argv)
         except SystemExit as e:  # argparse has printed help or a usage error
             code = EXIT_ERROR if e.code not in (0, None) else EXIT_OK
         else:

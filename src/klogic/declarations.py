@@ -77,7 +77,8 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
         def fail(message: str) -> InputFileError:
             return InputFileError(source, lineno, message)
 
-        if line.startswith("bound"):
+        directive = line.split(None, 1)[0]
+        if directive == "bound":
             m = _BOUND_LINE_RE.match(line)
             if not m:
                 raise fail("malformed bound directive (expected: bound <rational>)")
@@ -89,7 +90,7 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
                 raise fail(str(e)) from None
             if bound <= 0:
                 raise fail(f"bound must be positive, got {bound}")
-        elif line.startswith("atom"):
+        elif directive == "atom":
             m = _ATOM_LINE_RE.match(line)
             if not m:
                 raise fail(
@@ -116,7 +117,7 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
             names.add(name)
             props.append(prop)
         else:
-            raise fail(f"unrecognized directive: {line.split()[0]!r}")
+            raise fail(f"unrecognized directive: {directive!r}")
     config = PhysicsConfig() if bound is None else PhysicsConfig(bound)
     return Declarations(tuple(props), config)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -25,7 +26,9 @@ from klogic.cli import (
     _demo_lines,
     _demo_report,
     _print_json,
+    _parser,
     _table_json,
+    build_parser,
     main,
 )
 from klogic.declarations import MAX_RATIONAL_DIGITS
@@ -435,6 +438,15 @@ def test_quantum_declaration_errors_exit_two(capsys, tmp_path):
     assert "bad.decl:1" in err
 
 
+@pytest.mark.parametrize("line, word", [("bounds 1/2", "bounds"), ("atomic p momentum [0, 1]", "atomic")])
+def test_a_directive_that_only_starts_like_one_is_unrecognized(capsys, tmp_path, line, word):
+    decl = tmp_path / "bad.decl"
+    decl.write_text(f"atom p momentum [0, 1]\n{line}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "quantum", str(decl))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {decl}:2: unrecognized directive: {word!r}\n"
+
+
 def test_quantum_json_includes_everything(capsys, demo_decl):
     code, out, _ = run_cli(
         capsys,
@@ -520,6 +532,111 @@ def test_module_entry_point_runs_in_a_subprocess():
     )
     assert result.returncode == EXIT_ERROR
     assert "syntax error" in result.stderr
+
+
+def test_atom_limit_help_matches_the_command(capsys):
+    helps = {}
+    for command in ("check", "table", "quantum"):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        helps[command] = " ".join(out.split())  # undo argparse's line wrapping
+    assert "2^(2^n)" in helps["check"]
+    assert "2^(2^n)" in helps["quantum"]
+    assert "2^(2^n)" not in helps["table"]
+    assert "2^n valuations" in helps["table"]
+
+
+def _argv_cases(decl: str, theory: str) -> list[list[str]]:
+    """Every subcommand's exit codes in text and JSON, usage errors and help."""
+    return [
+        ["check", "K(a) -> a"],
+        ["check", "K(a) -> a", "--format", "json"],
+        ["check", "K(a | b) -> K(a) | K(b)"],
+        ["check", "K(a | b) -> K(a) | K(b)", "--format", "json"],
+        ["check", "K(p) & (K(q) | K(r))", "--theory", theory, "--mode", "sat"],
+        ["check", "K(p) & (K(q) | K(r))", "--theory", theory, "--mode", "sat", "--format", "json"],
+        ["check", "a &"],
+        ["check", "a &", "--format", "json"],
+        ["check", "a", "--mode", "maybe"],
+        ["check", "a", "--atom-limit", "-1"],
+        ["check", "--help"],
+        ["table", "p -> q"],
+        ["table", "p & (q | r)", "--quantum", decl, "--format", "json"],
+        ["table", "p", "q", "--format", "csv"],
+        ["table", "K(p)"],
+        ["table", "K(p)", "--format", "json"],
+        ["table", "p", "--constraints", theory, "--quantum", decl],
+        ["table", "--help"],
+        ["quantum", decl],
+        ["quantum", decl, "--echo", "--list-axioms"],
+        ["quantum", decl, "--format", "json"],
+        ["quantum", decl, "--check", "K(p) & (K(q) | K(r))", "--mode", "sat"],
+        ["quantum", decl, "--check", "K(p) & (K(q) | K(r))", "--mode", "sat", "--format", "json"],
+        ["quantum", theory],
+        ["quantum", theory, "--format", "json"],
+        ["quantum", "--help"],
+        ["demo"],
+        ["demo", "--format", "json"],
+        ["demo", "--format", "csv"],
+        ["demo", "--help"],
+        ["--help"],
+        [],
+        ["frobnicate"],
+    ]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, demo_decl, demo_theory):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser()
+    assert len(built) == 5  # klogic and its four subcommands
+    built.clear()
+    _parser.cache_clear()
+    codes = {main(argv) for argv in _argv_cases(demo_decl, demo_theory)}
+    capsys.readouterr()
+    assert codes == {EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR}
+    assert len(built) == 5
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(self)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import klogic.cli\n"
+        "print(len(built), klogic.cli._parser.cache_info().currsize)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "0 0\n"
+
+
+def test_repeated_calls_match_a_fresh_process(capsys, monkeypatch, demo_decl, demo_theory):
+    # argparse wraps help to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = _argv_cases(demo_decl, demo_theory)
+    fresh = {}
+    for argv in cases:
+        result = subprocess.run(
+            [sys.executable, "-m", "klogic", *argv], capture_output=True, text=True, check=False
+        )
+        fresh[tuple(argv)] = (result.returncode, result.stdout, result.stderr)
+    assert {code for code, _, _ in fresh.values()} == {EXIT_OK, EXIT_NEGATIVE, EXIT_ERROR}
+    assert run_cli(capsys, "check", "a &")[0] == EXIT_ERROR
+    for order in (cases, cases[::3] + cases[1::3] + cases[2::3]):
+        for argv in order:
+            assert run_cli(capsys, *argv) == fresh[tuple(argv)], argv
 
 
 # Verdicts VALID/INVALID and SATISFIABLE/UNSATISFIABLE, with and without a theory.

@@ -83,6 +83,12 @@ def test_located_errors():
         ("bound 0", 1, "positive"),
         ("bound nope", 1, "rational"),
         ("widget a", 1, "unrecognized"),
+        # a directive is its line's first word, not a prefix of it
+        ("bounds 1/2", 1, "unrecognized directive: 'bounds'"),
+        ("atomic p momentum [0, 1]", 1, "unrecognized directive: 'atomic'"),
+        ("bound 1/2\nbound", 2, "malformed bound directive (expected: bound <rational>)"),
+        ("bound 1/2 3/4", 1, "malformed bound directive (expected: bound <rational>)"),
+        ("atom p momentum", 1, "malformed atom entry (expected: atom <name> <kind> [<lo>, <hi>])"),
     ]
     for text, line, needle in cases:
         with pytest.raises(InputFileError) as exc:
