@@ -18,15 +18,13 @@ Its text output is rendered from that dict and shows part of it; only
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
 import functools
-import io
 import json
 import os
 import sys
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Callable, Iterator
 
 from . import classical, epistemic
@@ -116,42 +114,58 @@ def _query_lines(report: dict) -> list[str]:
     return [f"{report['formula']}: {verdict}", *model]
 
 
-def _by_row(columns: tuple[str, ...], rows: int) -> Iterator[tuple[str, ...]]:
-    """The characters of equally long bit strings, one tuple per row."""
-    return zip(*columns) if columns else repeat((), rows)
+class _Tails(dict):
+    """tail(*key) + marks[after] for every key (*key, after), each rendered
+    on its first lookup."""
+
+    def __init__(self, tail: Callable, marks: dict):
+        self.tail, self.marks = tail, marks
+
+    def __missing__(self, key: tuple) -> str:
+        text = self[key] = self.tail(*key[:-1]) + self.marks[key[-1]]
+        return text
 
 
-def _table_lines(table: TruthTable) -> list[str]:
-    """`*` marks excluded rows; their formula cells render as `x`."""
-    headers = [render(f) for f in table.formulas]
-    widths = [len(h) for h in headers]
-    lines = [("  " + " ".join(table.atoms) + "  " + "  ".join(headers)).rstrip()]
-    valuations = product(*[("0".ljust(len(a)), "1".ljust(len(a))) for a in table.atoms])
-    excluded_cells = "  ".join("x".ljust(w) for w in widths)
-    rows = _by_row(table.formula_bits, len(table.excluded))
-    for bits, excluded, values in zip(valuations, table.excluded, rows):
-        if excluded == "1":
-            line = "* " + " ".join(bits) + "  " + excluded_cells
-        else:
-            line = "  " + " ".join(bits) + "  " + "  ".join(map(str.ljust, values, widths))
-        lines.append(line.rstrip())
-    return lines
-
-
-def _table_csv(table: TruthTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["excluded"] + list(table.atoms) + [render(f) for f in table.formulas])
-    excluded_cells = ["x"] * len(table.formulas)
-    writer.writerows(
-        ["*", *bits, *excluded_cells] if excluded == "1" else ["", *bits, *values]
-        for bits, excluded, values in zip(
-            product("01", repeat=len(table.atoms)),
-            table.excluded,
-            _by_row(table.formula_bits, len(table.excluded)),
-        )
+def _rows(
+    table: TruthTable, cell: Callable, sep: str, tail: Callable, marks: dict, *columns
+) -> Iterator[str]:
+    """The rows of `table` as text, one string per row.  A row is cell(bit,
+    atom) per atom joined by `sep`, then tail(*key) + marks[next]: key holds
+    the row's excluded flag, formula values and characters of `columns`; next
+    is the next row's excluded flag, or "$" after the last row.  Valuations
+    join one text per half of the atoms, tails are rendered once per distinct
+    key, and no step per row runs Python code."""
+    items = [tuple(sep * (k > 0) + cell(b, a) for b in "01") for k, a in enumerate(table.atoms)]
+    h = len(items) // 2
+    firsts, seconds = (["".join(t) for t in product(*p)] for p in (items[:h], items[h:]))
+    keys = zip(table.excluded, *table.formula_bits, *columns, table.excluded[1:] + "$")
+    tails = map(_Tails(tail, marks).__getitem__, keys)
+    return chain.from_iterable(
+        map("".join, zip(repeat(f, len(seconds)), seconds, tails)) for f in firsts
     )
-    return buf.getvalue()
+
+
+def _table_text(table: TruthTable, fmt: str) -> Iterator[str]:
+    """The table as text, or as csv.writer would write it, row by row.  A
+    first column marks excluded rows with `*`; their formula cells are `x`."""
+    headers = [render(f) for f in table.formulas]
+    if fmt == "csv":
+        # No atom name or rendered formula holds a comma, a quote or a line
+        # break, so csv.writer quotes only a row whose only cell is empty.
+        header, gap, widths = ",".join(["excluded", *table.atoms, *headers]), ",", repeat(0)
+        marks = {"0": "\n" if table.atoms or headers else '\n""', "1": "\n*"}
+        cell, sep = (lambda b, a: "," + b), ""
+    else:
+        header = ("  " + " ".join(table.atoms) + "  " + "  ".join(headers)).rstrip()
+        gap, widths, marks = "  ", list(map(len, headers)), {"0": "\n  ", "1": "\n* "}
+        cell, sep = (lambda b, a: b.ljust(len(a))), " "
+    marks["$"] = "\n"
+
+    def tail(excluded: str, *values: str) -> str:
+        cells = "x" * len(values) if excluded == "1" else values
+        return "".join(gap + v.ljust(w) for v, w in zip(cells, widths)).rstrip()
+
+    return chain([header + marks[table.excluded[0]]], _rows(table, cell, sep, tail, marks))
 
 
 def _table_json(table: TruthTable) -> dict:
@@ -170,62 +184,49 @@ def _table_json(table: TruthTable) -> dict:
 _ROWS_SLOT = '"rows": []'
 
 
-def _json_rows(table: TruthTable, level: int) -> Iterator[str]:
+def _json_rows(table: TruthTable, indent: str) -> Iterator[str]:
     """The rows of `table` as json.dumps(..., indent=2) prints a report's
-    `rows` list whose key is indented `level` steps, in pieces.
-
-    A row is its valuation followed by a tail that depends only on the
-    row's excluded flag, formula values and constraint values.  Tables have
-    few distinct tails; each is printed by json.dumps once and reused.
-    """
-    nl = ["\n" + "  " * (level + k) for k in range(4)]
+    `rows` list whose key line starts with `indent`, row by row."""
+    nl = [indent + "  " * k for k in range(4)]
     names = [render(c) for c in table.constraints]
     close = nl[2] + "]," if table.atoms else "],"
-    tails: dict[tuple, str] = {}
+    open_row = nl[1] + "{" + nl[2] + '"valuation": ['
+    count = len(table.formula_bits)
 
-    def tail(excluded: str, values: tuple[str, ...], held: tuple[str, ...]) -> str:
-        text = json.dumps(
-            {
-                "excluded": excluded == "1",
-                "violated": [name for name, b in zip(names, held) if b == "0"],
-                "values": None if excluded == "1" else [int(v) for v in values],
-            },
-            indent=2,
-        )
+    def tail(excluded: str, *cells: str) -> str:
+        row = {
+            "excluded": excluded == "1",
+            "violated": [name for name, b in zip(names, cells[count:]) if b == "0"],
+            "values": None if excluded == "1" else [int(v) for v in cells[:count]],
+        }
         # Without its "{", the dict printed at the top level is the row's
         # remaining keys and closing brace, once indented to the row's depth.
-        return close + text[1:].replace("\n", nl[1])
+        return close + json.dumps(row, indent=2)[1:].replace("\n", nl[1])
 
-    open_row = nl[1] + "{" + nl[2] + '"valuation": ['
-    start = "[" + open_row
-    size = len(table.excluded)
-    for bits, key in zip(
-        product(*[(nl[3] + "0", nl[3] + "1")] * len(table.atoms)),
-        zip(
-            table.excluded,
-            _by_row(table.formula_bits, size),
-            _by_row(table.constraint_bits, size),
-        ),
-    ):
-        end = tails.get(key)
-        if end is None:
-            end = tails[key] = tail(*key)
-        yield start + ",".join(bits) + end
-        start = "," + open_row
-    yield nl[0] + "]"
+    marks = {"0": "," + open_row, "1": "," + open_row, "$": nl[0] + "]"}
+    rows = _rows(table, lambda b, a: nl[3] + b, ",", tail, marks, *table.constraint_bits)
+    return chain(["[" + open_row], rows)
 
 
-def _axioms_json(gen: GeneratedTheory) -> list[dict]:
+def _axioms_json(gen: GeneratedTheory, bound: str) -> list[dict]:
+    """One entry per axiom, each generated under the bound whose text is
+    `bound`.  Axioms share their propositions and, as generate builds them,
+    their K(m) and !K(x) nodes: each of those is turned into text once."""
+    pairs = list(zip(gen.axioms.axioms, gen.provenance))
+    shared = {id(o): o for ax, pv in pairs for o in (ax.left, ax.right, pv.momentum, pv.position)}
+    # A node is shown as its formula, a proposition as its width.
+    text = {key: render(o) if isinstance(o, Formula) else str(o.width) for key, o in shared.items()}
     return [
         {
-            "formula": render(ax),
+            # K(m) -> !K(x): neither side is parenthesized.
+            "formula": f"{text[id(ax.left)]} -> {text[id(ax.right)]}",
             "momentum": pv.momentum.atom,
             "position": pv.position.atom,
-            "widths": [str(pv.momentum.width), str(pv.position.width)],
+            "widths": [text[id(pv.momentum)], text[id(pv.position)]],
             "product": str(pv.product),
-            "bound": str(pv.bound),
+            "bound": bound,
         }
-        for ax, pv in zip(gen.axioms.axioms, gen.provenance)
+        for ax, pv in pairs
     ]
 
 
@@ -267,8 +268,7 @@ def _print_json(report: dict, table: TruthTable | None = None) -> None:
     if table is not None:
         head, _, text = text.partition(_ROWS_SLOT)
         sys.stdout.write(head + '"rows": ')
-        indent = len(head) - head.rfind("\n") - 1
-        sys.stdout.writelines(_json_rows(table, indent // 2))
+        sys.stdout.writelines(_json_rows(table, head[head.rfind("\n") :]))
     sys.stdout.write(text + "\n")
 
 
@@ -312,15 +312,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     else:
         constraints = ConstraintSet()
     table = truth_table(formulas, constraints, atom_limit=args.atom_limit)
-    if args.format == "csv":
-        _print(_table_csv(table))
-    elif args.format == "json":
-        report = {"command": "table"}
-        report.update(_table_json(table))
+    if args.format == "json":
+        report = {"command": "table", **_table_json(table)}
         report["constraints"] = [render(c) for c in constraints]
         _print_json(report, table)
     else:
-        _print("\n".join(_table_lines(table)))
+        sys.stdout.writelines(_table_text(table, args.format))
     return EXIT_OK
 
 
@@ -340,7 +337,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     if as_json:
         report["propositions"] = [_proposition_json(p) for p in decls.propositions]
     if as_json or args.list_axioms:
-        report["axioms"] = _axioms_json(gen)
+        report["axioms"] = _axioms_json(gen, report["bound"])
     if as_json:
         report["constraints"] = [render(c) for c in gen.constraints]
     if check is not None:
@@ -401,7 +398,7 @@ def _demo_report() -> tuple[dict, TruthTable]:
             "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
         },
         "table": _table_json(table),
-        "axioms": _axioms_json(gen),
+        "axioms": _axioms_json(gen, str(bound)),
         "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, gen.axioms),
         "k_distribution": {
             "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),
@@ -431,7 +428,10 @@ def _demo_lines(report: dict, table: TruthTable) -> list[str]:
             indent(report["uncertainty"]["products"]),
         ),
         ("(3) classical distributivity", indent(_query_lines(report["classical_distributivity"]))),
-        ("(4) truth table under the physical constraints", _table_lines(table)),
+        (
+            "(4) truth table under the physical constraints",
+            "".join(_table_text(table, "text")).splitlines(),
+        ),
         ("(5) generated axioms", indent(_axiom_lines(report["axioms"]))),
         ("(6) joint knowledge under the axioms", indent(_query_lines(report["joint_knowledge"]))),
         (

@@ -28,6 +28,7 @@ from klogic.cli import (
     _print_json,
     _parser,
     _table_json,
+    _table_text,
     build_parser,
     main,
 )
@@ -272,8 +273,10 @@ def _reference_rows(table: TruthTable) -> list[dict]:
 @st.composite
 def _tables(draw) -> TruthTable:
     """Tables over 0-8 atoms with 0-3 constraints and any bit strings, so
-    rows may violate several constraints at once."""
-    n = draw(st.integers(0, 8))
+    rows may violate several constraints at once.  Atom names differ in
+    length, and formula headers may be much wider than their cells."""
+    atoms = sorted("v" + a for a in draw(st.lists(st.text("ab_01", max_size=7), max_size=8, unique=True)))
+    n = len(atoms)
     columns = st.text("01", min_size=1 << n, max_size=1 << n)
     constraint_bits = draw(st.lists(columns, max_size=3))
     formula_bits = draw(st.lists(columns, min_size=1, max_size=3))
@@ -282,8 +285,8 @@ def _tables(draw) -> TruthTable:
         for held in zip(*constraint_bits, ["1"] * (1 << n))
     )
     return TruthTable(
-        tuple(f"a{k}" for k in range(n)),
-        tuple(Var(f"f{j}") for j in range(len(formula_bits))),
+        tuple(atoms),
+        tuple(Var(f"f{j}" + "x" * draw(st.integers(0, 30))) for j in range(len(formula_bits))),
         tuple(Var(f"c{j}") for j in range(len(constraint_bits))),
         tuple(constraint_bits),
         tuple(formula_bits),
@@ -310,6 +313,72 @@ def test_json_rows_match_json_dumps(table, command):
     with contextlib.redirect_stdout(out):
         _print_json(report([]), table)
     assert out.getvalue() == json.dumps(report(_reference_rows(table)), indent=2) + "\n"
+
+
+def _reference_table(table: TruthTable, fmt: str) -> str:
+    """The text or CSV table, built row by row from the bit strings."""
+    headers = [render(f) for f in table.formulas]
+    n = len(table.atoms)
+    rows = []
+    for i in range(1 << n):
+        bits = [str((i >> (n - 1 - k)) & 1) for k in range(n)]
+        excluded = any(col[i] == "0" for col in table.constraint_bits)
+        rows.append(("*" if excluded else "", bits, ["x" if excluded else col[i] for col in table.formula_bits]))
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["excluded", *table.atoms, *headers])
+        writer.writerows([mark, *bits, *cells] for mark, bits, cells in rows)
+        return out.getvalue()
+    lines = [("  " + " ".join(table.atoms) + "  " + "  ".join(headers)).rstrip()]
+    for mark, bits, cells in rows:
+        valuation = " ".join(b.ljust(len(a)) for b, a in zip(bits, table.atoms))
+        formulas = "  ".join(c.ljust(len(h)) for c, h in zip(cells, headers))
+        lines.append((mark.ljust(2) + valuation + "  " + formulas).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(), st.sampled_from(["text", "csv"]))
+@example(_TRUE_TABLE, "text")
+@example(_TRUE_TABLE, "csv")
+# csv.writer writes a row whose only cell is empty as "".
+@example(TruthTable((), (), (), (), (), "0"), "csv")
+@example(TruthTable(("a",), (), (Var("a"),), ("01",), (), "10"), "csv")
+def test_text_and_csv_rows_match_a_row_by_row_reference(table, fmt):
+    assert "".join(_table_text(table, fmt)) == _reference_table(table, fmt)
+
+
+class _RecordedStdout(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+_WRITE_BOUND = 64 * 1024  # characters; a 14-atom table is several times larger in every format
+_WIDE = [" | ".join(f"a{k:02d}" for k in range(14)), "a00 & !a13"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", *_WIDE], ["table", *_WIDE, "--format", "csv"], ["table", *_WIDE, "--format", "json"],
+     ["demo", "--format", "json"]],
+    ids=["text", "csv", "json", "demo-json"],
+)
+def test_tables_are_streamed_in_bounded_writes(monkeypatch, argv):
+    out = _RecordedStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(argv) == EXIT_OK
+    assert max(out.writes) <= _WRITE_BOUND
+    if argv[0] == "table":
+        assert sum(out.writes) > 4 * _WRITE_BOUND
+        assert out.getvalue().count("\n") > (1 << 14)
 
 
 def test_json_rows_never_go_through_json_dumps(capsys, monkeypatch, demo_decl):

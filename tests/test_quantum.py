@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -31,6 +34,7 @@ from klogic import (
     truth_table,
     uncertainty_product,
 )
+from klogic.cli import EXIT_OK, main
 
 MOM = ObservableKind.MOMENTUM
 POS = ObservableKind.POSITION
@@ -282,3 +286,47 @@ def test_generate_matches_a_pairwise_loop(declared, bound):
     assert gen.axioms.axioms == tuple(axioms)
     assert gen.constraints.constraints == tuple(constraints)
     assert gen.provenance == tuple(provenance)
+
+
+def _listing(path: str, *flags: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["quantum", path, "--list-axioms", *flags]) == EXIT_OK
+    return out.getvalue()
+
+
+@given(_declared, st.sampled_from([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+@example([(MOM, 0, Fraction(1, 2)), (POS, -1, Fraction(1))], Fraction(1, 2))
+@example([(MOM, 0, Fraction(1, 6)), (MOM, 1, Fraction(1, 4)), (POS, -3, Fraction(1, 3)),
+          (POS, 2, Fraction(1, 2))], Fraction(1))
+@settings(max_examples=100, deadline=None)
+def test_axiom_listings_match_each_provenance(tmp_path_factory, declared, bound):
+    props = tuple(
+        IntervalProposition(f"a{i}", kind, Fraction(lo), lo + width)
+        for i, (kind, lo, width) in enumerate(declared)
+    )
+    path = tmp_path_factory.getbasetemp() / "listing.decl"
+    path.write_text(
+        f"bound {bound}\n" + "".join(f"atom {p.atom} {p.kind.value} [{p.lo}, {p.hi}]\n" for p in props),
+        encoding="utf-8",
+    )
+    gen = generate(props, PhysicsConfig(bound))
+    expected = []
+    for axiom, pv in zip(gen.axioms.axioms, gen.provenance):
+        m, x = pv.momentum, pv.position
+        expected.append(
+            {
+                "formula": render(axiom),
+                "momentum": m.atom,
+                "position": x.atom,
+                "widths": [str(m.hi - m.lo), str(x.hi - x.lo)],
+                "product": str((m.hi - m.lo) * (x.hi - x.lo)),
+                "bound": str(pv.bound),
+            }
+        )
+    lines = [
+        f"{a['formula']}   [widths {a['widths'][0]} * {a['widths'][1]} = {a['product']} < {a['bound']}]"
+        for a in expected
+    ]
+    assert _listing(str(path)) == "\n".join(lines or ["no axioms generated"]) + "\n"
+    assert json.loads(_listing(str(path), "--format", "json"))["axioms"] == expected
