@@ -37,6 +37,9 @@ from .syntax import (
 )
 
 DEFAULT_ATOM_LIMIT = 16
+# The modal engine's default, defined here so that building the command-line
+# parser does not import `epistemic`; `epistemic` re-exports it.
+DEFAULT_MODAL_ATOM_LIMIT = 4
 MAX_COLUMN_ATOMS = 24  # a column over 24 atoms is 2^24 bits, 2 MiB
 
 

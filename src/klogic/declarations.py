@@ -1,4 +1,4 @@
-"""Input file formats: observable declarations, theory files, constraint files.
+"""Declaration files: interval propositions over position and momentum.
 
 Declaration files describe interval propositions, one per line:
 
@@ -11,9 +11,8 @@ Declaration files describe interval propositions, one per line:
 (default 1/2).  Rationals are written as a/b, integers, or finite decimals,
 and are converted exactly.
 
-Theory and constraint files hold one formula per line in the standard
-formula grammar, with the same comment rules.  Constraint files must be
-K-free.
+Theory and constraint files are read by `formula_files`, whose loaders this
+module re-exports.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ import re
 from fractions import Fraction
 
 from ._record import Record
-from .classical import ConstraintSet
-from .epistemic import Theory
-from .errors import InputFileError, LogicError
+from .errors import InputFileError
+from .formula_files import _parse_formula_lines, _read, load_constraints, load_theory  # noqa: F401
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
-from .syntax import Formula, ParseError, is_atom_name, modal_depth, parse, render
+from .syntax import is_atom_name
 
 _RATIONAL = r"[+-]?\d+(?:/\d+|\.\d+)?"
 _RATIONAL_RE = re.compile(_RATIONAL + r"\Z")
@@ -130,55 +128,5 @@ def format_declarations(decls: Declarations) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read(path: str) -> str:
-    """A UTF-8 file's text; a bad byte is reported at its line."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        raise LogicError(f"cannot read {path}: {e.strerror}") from None
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        # lines are counted as splitlines() counts them for the parsers
-        lineno = len((data[: e.start].decode("utf-8") + "x").splitlines())
-        raise InputFileError(
-            path, lineno, f"not valid UTF-8 (byte 0x{data[e.start]:02x})"
-        ) from None
-
-
 def load_declarations(path: str) -> Declarations:
     return parse_declarations(_read(path), source=path)
-
-
-def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
-    formulas: list[tuple[int, Formula]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            formulas.append((lineno, parse(line)))
-        except ParseError as e:
-            raise InputFileError(source, lineno, str(e)) from None
-    return formulas
-
-
-def load_theory(path: str) -> Theory:
-    """One axiom per line; K is allowed."""
-    parsed = _parse_formula_lines(_read(path), path)
-    return Theory(tuple(f for _, f in parsed))
-
-
-def load_constraints(path: str) -> ConstraintSet:
-    """One K-free constraint per line."""
-    parsed = _parse_formula_lines(_read(path), path)
-    for lineno, f in parsed:
-        if modal_depth(f) != 0:
-            raise InputFileError(
-                path,
-                lineno,
-                f"constraint contains the knowledge operator: {render(f)} "
-                f"(constraints must be K-free)",
-            )
-    return ConstraintSet(tuple(f for _, f in parsed))

@@ -24,6 +24,7 @@ from ._record import Record
 from .errors import AtomLimitExceeded
 from .syntax import Bottom, Formula, Iff, Know, Not, Top, Var, atoms, modal_depth
 from .classical import (
+    DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
     _columns,
     _first,
@@ -31,8 +32,6 @@ from .classical import (
     _truth,
     valuation_at,
 )
-
-DEFAULT_MODAL_ATOM_LIMIT = 4
 
 
 class EpistemicModel(Record):

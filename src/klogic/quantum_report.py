@@ -1,0 +1,159 @@
+"""Reports of the `quantum` and `demo` commands: interval propositions,
+generated axioms, and the built-in worked example.
+
+These need the interval and uncertainty code (`quantum`, `fractions`), so
+`check` and `table` never load this module.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable
+
+from .classical import TruthTable, is_tautology, truth_table
+from .cli import _check_json, _query_lines
+from .epistemic import CheckResult, Theory, is_satisfiable, is_valid
+from .quantum import (
+    GeneratedTheory,
+    IntervalProposition,
+    ObservableKind,
+    PhysicsConfig,
+    compatible,
+    generate,
+    merge,
+    uncertainty_product,
+)
+from .syntax import Formula, parse, render
+from .tables import _table_json, _table_text
+
+
+def _axioms_json(gen: GeneratedTheory, bound: str) -> list[dict]:
+    """One entry per axiom, each generated under the bound whose text is
+    `bound`.  Axioms share their propositions and, as generate builds them,
+    their K(m) and !K(x) nodes: each of those is turned into text once."""
+    pairs = list(zip(gen.axioms.axioms, gen.provenance))
+    shared = {id(o): o for ax, pv in pairs for o in (ax.left, ax.right, pv.momentum, pv.position)}
+    # A node is shown as its formula, a proposition as its width.
+    text = {key: render(o) if isinstance(o, Formula) else str(o.width) for key, o in shared.items()}
+    return [
+        {
+            # K(m) -> !K(x): neither side is parenthesized.
+            "formula": f"{text[id(ax.left)]} -> {text[id(ax.right)]}",
+            "momentum": pv.momentum.atom,
+            "position": pv.position.atom,
+            "widths": [text[id(pv.momentum)], text[id(pv.position)]],
+            "product": str(pv.product),
+            "bound": bound,
+        }
+        for ax, pv in pairs
+    ]
+
+
+def _proposition_json(p: IntervalProposition) -> dict:
+    return {
+        "atom": p.atom,
+        "kind": p.kind.value,
+        "interval": [str(p.lo), str(p.hi)],
+        "width": str(p.width),
+    }
+
+
+def _axiom_lines(axioms: list[dict]) -> list[str]:
+    if not axioms:
+        return ["no axioms generated"]
+    return [
+        f"{a['formula']}   [widths {' * '.join(a['widths'])} = {a['product']} < {a['bound']}]"
+        for a in axioms
+    ]
+
+
+def _proposition_line(p: dict) -> str:
+    lo, hi = p["interval"]
+    return f"{p['atom']}: {p['kind']} in [{lo}, {hi}]  (width {p['width']})"
+
+
+def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, bound: Fraction) -> str:
+    product = uncertainty_product(m, x)
+    rel = ">=" if product >= bound else "<"
+    verdict = "compatible" if compatible(m, x, PhysicsConfig(bound)) else "incompatible"
+    return f"{m.atom} with {label}: {m.width} * {x.width} = {product} {rel} {bound}: {verdict}"
+
+
+def _demo_report() -> tuple[dict, TruthTable]:
+    """The demo's report, and the truth table that fills its `rows` list."""
+    p = IntervalProposition("p", ObservableKind.MOMENTUM, Fraction(0), Fraction(1, 6))
+    q = IntervalProposition("q", ObservableKind.POSITION, Fraction(-1), Fraction(1))
+    r = IntervalProposition("r", ObservableKind.POSITION, Fraction(1), Fraction(3))
+    s = merge(q, r, "s")
+    config = PhysicsConfig()
+    bound = config.bound
+    gen = generate((p, q, r), config)
+    distributivity = parse("p & (q | r) <-> (p & q) | (p & r)")
+    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), gen.constraints)
+
+    def query(text: str, decide: Callable[..., CheckResult], theory: Theory) -> dict:
+        f = parse(text)
+        return {"formula": render(f), **_check_json(decide(f, theory))}
+
+    report = {
+        "command": "demo",
+        "propositions": [_proposition_json(x) for x in (p, q, r)],
+        "uncertainty": {
+            "bound": str(bound),
+            "products": [
+                _product_line(p, s, f"the full position range [{s.lo}, {s.hi}]", bound),
+                _product_line(p, q, q.atom, bound),
+                _product_line(p, r, r.atom, bound),
+            ],
+        },
+        "classical_distributivity": {
+            "formula": render(distributivity),
+            "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
+        },
+        "table": _table_json(table),
+        "axioms": _axioms_json(gen, str(bound)),
+        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, gen.axioms),
+        "k_distribution": {
+            "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),
+            "disjunction_distribution": query("K(a | b) -> K(a) | K(b)", is_valid, Theory()),
+        },
+        "merge": {
+            "merged": _proposition_json(s),
+            **query("K(p & s) <-> K(p) & K(s)", is_satisfiable, Theory()),
+        },
+    }
+    return report, table
+
+
+def _demo_lines(report: dict, table: TruthTable) -> list[str]:
+    """The demo's text: the sections of `report` under numbered headings,
+    with `table`, whose rows the report leaves out, as section (4)."""
+    _, q, r = propositions = report["propositions"]
+    k, merged = report["k_distribution"], report["merge"]
+
+    def indent(body: list[str]) -> list[str]:
+        return ["  " + line for line in body]
+
+    sections = [
+        ("(1) interval propositions", indent([_proposition_line(x) for x in propositions])),
+        (
+            f"(2) uncertainty products, bound {report['uncertainty']['bound']}",
+            indent(report["uncertainty"]["products"]),
+        ),
+        ("(3) classical distributivity", indent(_query_lines(report["classical_distributivity"]))),
+        (
+            "(4) truth table under the physical constraints",
+            "".join(_table_text(table, "text")).splitlines(),
+        ),
+        ("(5) generated axioms", indent(_axiom_lines(report["axioms"]))),
+        ("(6) joint knowledge under the axioms", indent(_query_lines(report["joint_knowledge"]))),
+        (
+            "(7) how K distributes",
+            indent(_query_lines(k["conjunction_law"]) + _query_lines(k["disjunction_distribution"])),
+        ),
+        (
+            f"(8) coarse position s = merge({q['atom']}, {r['atom']})",
+            indent([_proposition_line(merged["merged"]), *_query_lines(merged)]),
+        ),
+    ]
+    return [line for heading, body in sections for line in ("", heading, *body)][1:]

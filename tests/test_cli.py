@@ -21,18 +21,15 @@ from klogic.cli import (
     EXIT_ERROR,
     EXIT_NEGATIVE,
     EXIT_OK,
-    _axiom_lines,
     _check_lines,
-    _demo_lines,
-    _demo_report,
     _print_json,
     _parser,
-    _table_json,
-    _table_text,
     build_parser,
     main,
 )
 from klogic.declarations import MAX_RATIONAL_DIGITS
+from klogic.quantum_report import _axiom_lines, _demo_lines, _demo_report
+from klogic.tables import _table_json, _table_text
 from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
 
 DATA = Path(__file__).parent / "data"

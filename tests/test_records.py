@@ -226,3 +226,49 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def _loaded_by(statement: str, *argv: str) -> set[str]:
+    """The modules a fresh interpreter loads for `statement`, run with
+    sys.argv[1:] == argv, beyond those loaded before it ran."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        "print(*sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True
+    )
+    return set(done.stderr.split())
+
+
+# What a process skips: the interval code, exact rationals, and JSON output.
+_UNUSED = {"klogic.quantum", "klogic.declarations", "fractions", "decimal", "json"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["check", "K(a) -> a"], _UNUSED),
+        (["check", "K(a) -> a", "--mode", "sat", "--theory", "{theory}"], _UNUSED),
+        (["table", "p | q"], _UNUSED | {"klogic.epistemic"}),
+        (["table", "p | q", "--format", "csv"], _UNUSED | {"klogic.epistemic"}),
+        (["table", "p | q", "--constraints", "{constraints}"], _UNUSED),
+    ],
+    ids=["check", "check-theory", "table", "table-csv", "table-constraints"],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
+    paths = {"theory": tmp_path / "a.thy", "constraints": tmp_path / "a.con"}
+    paths["theory"].write_text("K(a) -> !K(b)\n", encoding="utf-8")
+    paths["constraints"].write_text("!(p & q)\n", encoding="utf-8")
+    argv = [arg.format_map(paths) for arg in argv]
+    loaded = _loaded_by("import klogic.cli; klogic.cli.main(sys.argv[1:])", *argv)
+    assert "klogic.cli" in loaded
+    assert unused & loaded == set()
+
+
+def test_importing_the_package_loads_no_submodule():
+    loaded = _loaded_by("import klogic")
+    assert "klogic" in loaded
+    assert {name for name in loaded if name.startswith("klogic.")} == set()
