@@ -19,8 +19,8 @@ _EXPORTS = {  # module: the public names it defines
         "truth_table valuation_at"
     ),
     "declarations": (
-        "Declarations format_declarations load_constraints load_declarations "
-        "load_theory parse_declarations parse_rational"
+        "Declarations format_declarations load_declarations parse_declarations "
+        "parse_rational"
     ),
     "epistemic": (
         "DEFAULT_MODAL_ATOM_LIMIT CheckResult EpistemicModel Theory Verdict "
@@ -30,6 +30,7 @@ _EXPORTS = {  # module: the public names it defines
         "AtomLimitExceeded DisjointIntervals DuplicateAtom InputFileError KindMismatch "
         "LogicError ModalOperatorPresent UnknownAtom"
     ),
+    "formula_files": "load_constraints load_theory",
     "quantum": (
         "AxiomProvenance GeneratedTheory IntervalProposition ObservableKind "
         "PhysicsConfig compatible generate merge uncertainty_product"

@@ -7,12 +7,12 @@ Declaration files describe interval propositions, one per line:
     atom p momentum [0, 1/6]
     atom q position [-1, 1]
 
-`#` starts a comment; blank lines are ignored; at most one `bound` directive
-(default 1/2).  Rationals are written as a/b, integers, or finite decimals,
-and are converted exactly.
+`#` starts a comment and blank lines are ignored, as in every input file;
+at most one `bound` directive (default 1/2).  Rationals are written as a/b,
+integers, or finite decimals, and are converted exactly.
 
 Theory and constraint files are read by `formula_files`, whose loaders this
-module re-exports.
+module re-exports, and which reads every input file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import InputFileError
-from .formula_files import _parse_formula_lines, _read, load_constraints, load_theory  # noqa: F401
+from .formula_files import _content_lines, _read, load_constraints, load_theory  # noqa: F401
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
 from .syntax import is_atom_name
 
@@ -67,11 +67,7 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
     props: list[IntervalProposition] = []
     names: set[str] = set()
     bound: Fraction | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-
+    for lineno, line in _content_lines(text):
         def fail(message: str) -> InputFileError:
             return InputFileError(source, lineno, message)
 

@@ -1,13 +1,16 @@
 """Theory and constraint files: one formula per line in the standard formula
-grammar.  `#` starts a comment and blank lines are ignored.  Constraint
-files must be K-free.
+grammar.  Constraint files must be K-free.
 
-This module reads UTF-8 input files for `declarations` too, and imports
-neither `quantum` nor `fractions`, so a `check --theory` or
-`table --constraints` run loads none of the interval code.
+This module reads every input file, `declarations`' too: it decodes UTF-8
+and owns the line rule they share, under which `#` starts a comment and
+blank lines are ignored.  It imports neither `quantum` nor `fractions`, so
+a `check --theory` or `table --constraints` run loads none of the interval
+code.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .classical import ConstraintSet
 from .epistemic import Theory
@@ -32,12 +35,18 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
-    formulas: list[tuple[int, Formula]] = []
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each line of `text` that is more than a comment and whitespace, with
+    its 1-based number, its comment cut and its ends stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, line
+
+
+def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
+    formulas: list[tuple[int, Formula]] = []
+    for lineno, line in _content_lines(text):
         try:
             formulas.append((lineno, parse(line)))
         except ParseError as e:

@@ -18,7 +18,6 @@ from .quantum import (
     IntervalProposition,
     ObservableKind,
     PhysicsConfig,
-    compatible,
     generate,
     merge,
     uncertainty_product,
@@ -74,8 +73,8 @@ def _proposition_line(p: dict) -> str:
 
 def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, bound: Fraction) -> str:
     product = uncertainty_product(m, x)
-    rel = ">=" if product >= bound else "<"
-    verdict = "compatible" if compatible(m, x, PhysicsConfig(bound)) else "incompatible"
+    # compatible iff the product meets the bound, as quantum.compatible decides
+    rel, verdict = (">=", "compatible") if product >= bound else ("<", "incompatible")
     return f"{m.atom} with {label}: {m.width} * {x.width} = {product} {rel} {bound}: {verdict}"
 
 

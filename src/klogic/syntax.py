@@ -1,4 +1,4 @@
-"""Abstract syntax, parser, and printer for epistemic propositional formulas.
+r"""Abstract syntax, parser, and printer for epistemic propositional formulas.
 
 Concrete syntax (the wire format used by the CLI, theory files, and reports):
 
@@ -15,6 +15,11 @@ Concrete syntax (the wire format used by the CLI, theory files, and reports):
 Precedence, high to low: {!, K} > & > | > -> > <->.  Whitespace is
 insignificant.  `K`, `true`, `false`, `and`, `or`, `not`, `implies`, `iff`
 are reserved and cannot be used as atoms.
+
+The whole input is tokenized before parsing starts, so a lexical error is
+reported before any syntax error.  A token is a symbol or a word: `\w+` led
+by a letter or `_`, in Python's Unicode sense.  A word other than a constant
+or `K` must be an atom, `[a-z][a-zA-Z0-9_]*`.
 
 Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
@@ -135,64 +140,37 @@ class ParseError(LogicError):
         super().__init__(f"syntax error at offset {offset}: {message}")
 
 
-_TOKEN_NAMES = {
-    "&": "'&'",
-    "|": "'|'",
-    "!": "'!'",
-    "->": "'->'",
-    "<->": "'<->'",
-    "(": "'('",
-    ")": "')'",
-    "eof": "end of input",
-}
+# Every character but whitespace starts a match, so `finditer` skips just the
+# whitespace.  Symbols, and words led by a letter or `_`, are tokens; any
+# other match is a lexical error.
+_TOKEN_RE = re.compile(r"<->|->|[()&|!]|\w+|\S")
+_SYMBOLS = frozenset(["<->", "->", "(", ")", "&", "|", "!"])
+_PARTIAL = {"-": "expected '->'", "<": "expected '<->'"}
 
 
 class _Token:
     __slots__ = ("kind", "text", "pos")
 
     def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind  # "ident" | one of the keys in _TOKEN_NAMES
+        self.kind = kind  # "ident" | "eof" | the symbol itself
         self.text = text
         self.pos = pos  # 0-based character offset
 
     def describe(self) -> str:
-        if self.kind == "ident":
-            return f"'{self.text}'"
-        return _TOKEN_NAMES[self.kind]
+        return f"'{self.text}'" if self.text else "end of input"
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()&|!":
-            tokens.append(_Token(c, c, i))
-            i += 1
-        elif c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("->", "->", i))
-                i += 2
-            else:
-                raise ParseError(i + 1, "expected '->'")
-        elif c == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("<->", "<->", i))
-                i += 3
-            else:
-                raise ParseError(i + 1, "expected '<->'")
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
+    for match in _TOKEN_RE.finditer(text):
+        word, pos = match[0], match.start()
+        if word in _SYMBOLS:
+            tokens.append(_Token(word, word, pos))
+        elif word[0].isalpha() or word[0] == "_":
+            tokens.append(_Token("ident", word, pos))
         else:
-            raise ParseError(i + 1, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", n))
+            raise ParseError(pos + 1, _PARTIAL.get(word, f"unexpected character {word[0]!r}"))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 

@@ -272,3 +272,10 @@ def test_importing_the_package_loads_no_submodule():
     loaded = _loaded_by("import klogic")
     assert "klogic" in loaded
     assert {name for name in loaded if name.startswith("klogic.")} == set()
+
+
+@pytest.mark.parametrize("name", ["load_theory", "load_constraints"])
+def test_the_formula_file_loaders_load_no_interval_code(name):
+    loaded = _loaded_by(f"import klogic; klogic.{name}")
+    assert "klogic.formula_files" in loaded
+    assert {"klogic.quantum", "klogic.declarations", "fractions", "decimal"} & loaded == set()

@@ -133,6 +133,51 @@ def test_single_dash_and_single_angle_are_rejected():
         parse("p <- q")
 
 
+@pytest.mark.parametrize(
+    "text, offset, message",
+    [
+        ("p - q", 3, "expected '->'"),
+        ("p <- q", 3, "expected '<->'"),
+        ("9a", 1, "unexpected character '9'"),
+        ("p & ²", 5, "unexpected character '²'"),
+        ("½", 1, "unexpected character '½'"),
+        ("p $ q", 3, "unexpected character '$'"),
+        # the whole input is tokenized first: a lexical error wins
+        ("p & & ?", 7, "unexpected character '?'"),
+        ("é", 1, "invalid atom name 'é' (atoms match [a-z][a-zA-Z0-9_]*)"),
+        ("_x", 1, "invalid atom name '_x' (atoms match [a-z][a-zA-Z0-9_]*)"),
+        ("Ab", 1, "invalid atom name 'Ab' (atoms match [a-z][a-zA-Z0-9_]*)"),
+        ("p -> ", 6, "expected a formula, found end of input"),
+        ("", 1, "expected a formula, found end of input"),
+        ("K p", 3, "expected '(', found 'p'"),
+        ("K & p", 3, "expected '(', found '&'"),
+        ("(p", 3, "expected ')', found end of input"),
+        ("p q", 3, "expected end of input, found 'q'"),
+        ("p ! q", 3, "expected end of input, found '!'"),
+        ("p & )", 5, "expected a formula, found ')'"),
+        ("p <-> -> q", 7, "expected a formula, found '->'"),
+        ("p | <-> q", 5, "expected a formula, found '<->'"),
+    ],
+)
+def test_lexical_and_syntax_errors_are_exact(text, offset, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"syntax error at offset {offset}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("K (p)", Know(Var("p"))),
+        ("p\t&\nq", And(Var("p"), Var("q"))),
+        ("p\xa0->\u2003K(q)\r", Implies(Var("p"), Know(Var("q")))),
+    ],
+)
+def test_any_whitespace_separates_tokens(text, expected):
+    assert parse(text) == expected
+
+
 def _nested(shape: str, depth: int) -> str:
     """A formula `depth` levels deep, built by repeating one construct."""
     if shape == "!":
