@@ -158,11 +158,7 @@ class ConstraintSet(Record):
 
     def __post_init__(self):
         constraints = tuple(dict.fromkeys(self.constraints))
-        for c in constraints:
-            if modal_depth(c) != 0:
-                raise ModalOperatorPresent(
-                    f"constraints must be K-free, got: {render(c)}"
-                )
+        _require_k_free(constraints, why="constraints must be K-free")
         object.__setattr__(self, "constraints", constraints)
 
     def __iter__(self) -> Iterator[Formula]:
@@ -217,11 +213,14 @@ class TruthTable(Record):
         return tuple(rows)
 
 
-def _require_k_free(formulas: Iterable[Formula]) -> None:
+def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
+    """Refuse the first formula containing K; `why`, if given, is appended
+    to the message in parentheses."""
     for f in formulas:
         if modal_depth(f) != 0:
+            reason = f" ({why})" if why else ""
             raise ModalOperatorPresent(
-                f"formula contains the knowledge operator: {render(f)}"
+                f"formula contains the knowledge operator: {render(f)}{reason}"
             )
 
 

@@ -34,10 +34,11 @@ from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     ConstraintSet,
     TruthTable,
+    _require_k_free,
     truth_table,
 )
-from .errors import LogicError, ModalOperatorPresent
-from .syntax import Formula, modal_depth, parse, render
+from .errors import LogicError
+from .syntax import Formula, parse, render
 
 if TYPE_CHECKING:
     from .epistemic import CheckResult, EpistemicModel, Theory
@@ -167,12 +168,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from .tables import _table_json, _table_text
 
     formulas = [parse(text) for text in args.formulas]
-    for f in formulas:
-        if modal_depth(f) != 0:
-            raise ModalOperatorPresent(
-                f"formula contains the knowledge operator: {render(f)} "
-                f"(truth tables are classical; use the check command)"
-            )
+    _require_k_free(formulas, why="truth tables are classical; use the check command")
     if args.constraints:
         from .formula_files import load_constraints
 

@@ -9,7 +9,9 @@ Declaration files describe interval propositions, one per line:
 
 `#` starts a comment and blank lines are ignored, as in every input file;
 at most one `bound` directive (default 1/2).  Rationals are written as a/b,
-integers, or finite decimals, and are converted exactly.
+integers, or finite decimals, and are converted exactly.  Atom names follow
+`Var`'s rule and the bound `PhysicsConfig`'s; those types check them, and
+the reader adds the line to their refusal.
 
 Theory and constraint files are read by `formula_files`, whose loaders this
 module re-exports, and which reads every input file.
@@ -24,7 +26,6 @@ from ._record import Record
 from .errors import InputFileError
 from .formula_files import _content_lines, _read, load_constraints, load_theory  # noqa: F401
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
-from .syntax import is_atom_name
 
 _RATIONAL = r"[+-]?\d+(?:/\d+|\.\d+)?"
 _RATIONAL_RE = re.compile(_RATIONAL + r"\Z")
@@ -66,7 +67,7 @@ class Declarations(Record):
 def parse_declarations(text: str, source: str = "<declarations>") -> Declarations:
     props: list[IntervalProposition] = []
     names: set[str] = set()
-    bound: Fraction | None = None
+    config: PhysicsConfig | None = None
     for lineno, line in _content_lines(text):
         def fail(message: str) -> InputFileError:
             return InputFileError(source, lineno, message)
@@ -76,14 +77,12 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
             m = _BOUND_LINE_RE.match(line)
             if not m:
                 raise fail("malformed bound directive (expected: bound <rational>)")
-            if bound is not None:
+            if config is not None:
                 raise fail("duplicate bound directive")
             try:
-                bound = parse_rational(m.group("value"))
+                config = PhysicsConfig(parse_rational(m.group("value")))
             except ValueError as e:
                 raise fail(str(e)) from None
-            if bound <= 0:
-                raise fail(f"bound must be positive, got {bound}")
         elif directive == "atom":
             m = _ATOM_LINE_RE.match(line)
             if not m:
@@ -91,8 +90,6 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
                     "malformed atom entry (expected: atom <name> <kind> [<lo>, <hi>])"
                 )
             name = m.group("name")
-            if not is_atom_name(name):
-                raise fail(f"invalid atom name: {name!r}")
             if name in names:
                 raise fail(f"atom '{name}' declared more than once")
             try:
@@ -112,8 +109,7 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
             props.append(prop)
         else:
             raise fail(f"unrecognized directive: {directive!r}")
-    config = PhysicsConfig() if bound is None else PhysicsConfig(bound)
-    return Declarations(tuple(props), config)
+    return Declarations(tuple(props), config or PhysicsConfig())
 
 
 def format_declarations(decls: Declarations) -> str:

@@ -19,12 +19,15 @@ from .syntax import Formula, ParseError, modal_depth, parse, render
 
 
 def _read(path: str) -> str:
-    """A UTF-8 file's text; a bad byte is reported at its line."""
+    """A UTF-8 file's text, without a leading byte-order mark; a bad byte is
+    reported at its line."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as e:
         raise LogicError(f"cannot read {path}: {e.strerror}") from None
+    # not the utf-8-sig codec: its error offsets would count from after the mark
+    data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:

@@ -20,7 +20,7 @@ from ._record import Record
 from .classical import ConstraintSet
 from .epistemic import Theory
 from .errors import DisjointIntervals, DuplicateAtom, KindMismatch
-from .syntax import And, Formula, Implies, Know, Not, Var, is_atom_name
+from .syntax import And, Formula, Implies, Know, Not, Var
 
 class ObservableKind(Enum):
     POSITION = "position"
@@ -36,8 +36,7 @@ class IntervalProposition(Record):
     hi: Fraction
 
     def __post_init__(self):
-        if not is_atom_name(self.atom):
-            raise ValueError(f"invalid atom name: {self.atom!r}")
+        Var(self.atom)  # refuses an invalid name
         object.__setattr__(self, "lo", Fraction(self.lo))
         object.__setattr__(self, "hi", Fraction(self.hi))
         if not self.lo < self.hi:

@@ -188,16 +188,14 @@ def _leaf(tok: _Token) -> Formula:
         return Top()
     if tok.text == "false":
         return Bottom()
-    if tok.text in RESERVED_WORDS:
-        raise ParseError(
-            tok.pos + 1, f"reserved word '{tok.text}' cannot be used as an atom"
-        )
-    if not _ATOM_RE.match(tok.text):
-        raise ParseError(
-            tok.pos + 1,
-            f"invalid atom name '{tok.text}' (atoms match [a-z][a-zA-Z0-9_]*)",
-        )
-    return Var(tok.text)
+    try:
+        return Var(tok.text)
+    except ValueError:
+        if tok.text in RESERVED_WORDS:
+            message = f"reserved word '{tok.text}' cannot be used as an atom"
+        else:
+            message = f"invalid atom name '{tok.text}' (atoms match [a-z][a-zA-Z0-9_]*)"
+        raise ParseError(tok.pos + 1, message) from None
 
 
 def _too_deep(tok: _Token) -> ParseError:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,13 +20,7 @@ def pytest_terminal_summary(terminalreporter):
         for line in results:
             terminalreporter.write_line(line)
 
-DEMO_DECL = """\
-# particle on a line, natural units
-bound 1/2
-atom p momentum [0, 1/6]
-atom q position [-1, 1]
-atom r position [1, 3]
-"""
+DEMO_DECL = Path(__file__).parent / "data" / "demo.decl"
 
 DEMO_THEORY = """\
 # knowledge of momentum p excludes knowledge of either position
@@ -44,10 +39,8 @@ def demo_props() -> tuple[IntervalProposition, ...]:
 
 
 @pytest.fixture
-def demo_decl(tmp_path) -> str:
-    path = tmp_path / "demo.decl"
-    path.write_text(DEMO_DECL, encoding="utf-8")
-    return str(path)
+def demo_decl() -> str:
+    return str(DEMO_DECL)
 
 
 @pytest.fixture

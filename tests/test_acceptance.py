@@ -91,12 +91,7 @@ def _write_temp(suffix: str, text: str) -> str:
         return fh.name
 
 
-DEMO_DECL_TEXT = (
-    "bound 1/2\n"
-    "atom p momentum [0, 1/6]\n"
-    "atom q position [-1, 1]\n"
-    "atom r position [1, 3]\n"
-)
+DEMO_DECL = str(DATA / "demo.decl")
 
 
 @criterion(1, "uncertainty products 2/3, 1/3, 1/3 with exact verdicts")
@@ -129,8 +124,7 @@ def test_criterion_03_constrained_table():
     for row in table.rows:
         if not row.excluded:
             assert row.values == (False, False)
-    decl = _write_temp(".decl", DEMO_DECL_TEXT)
-    proc = _run("table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", decl)
+    proc = _run("table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", DEMO_DECL)
     assert proc.returncode == 0
     assert proc.stdout == (DATA / "table.golden.txt").read_text(encoding="utf-8")
 
@@ -238,7 +232,7 @@ def test_criterion_12_cli_contract():
     assert demo.returncode == 0
     assert demo.stdout == (DATA / "demo.golden.txt").read_text(encoding="utf-8")
 
-    decl = _write_temp(".decl", DEMO_DECL_TEXT)
+    decl = DEMO_DECL
     theory = _write_temp(".thy", "K(p) -> !K(q)\nK(p) -> !K(r)\n")
     empty = _write_temp(".decl", "atom a momentum [0, 1]\natom b position [0, 1]\n")
 

@@ -112,8 +112,11 @@ def test_eval_classical_rejects_modal_formulas_everywhere():
 
 
 def test_constraint_set_rejects_modal_members():
-    with pytest.raises(ModalOperatorPresent):
+    with pytest.raises(ModalOperatorPresent) as exc:
         ConstraintSet((parse("K(p)"),))
+    assert str(exc.value) == (
+        "formula contains the knowledge operator: K(p) (constraints must be K-free)"
+    )
 
 
 def test_constraint_set_deduplicates_in_order():

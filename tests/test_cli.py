@@ -135,6 +135,61 @@ def test_non_utf8_input_file_exits_two_at_its_line(capsys, tmp_path, argv):
     assert err == f"error: {path}:2: not valid UTF-8 (byte 0xff)\n"
 
 
+_FILE_KINDS = [
+    (("check", "K(p)", "--theory"), "K(p) -> !K(q)\n"),
+    (("table", "p & q", "--constraints"), "# joint outcome\n!(p & q)\n"),
+    (("quantum",), "bound 1/2\natom p momentum [0, 1/6]\natom q position [-1, 1]\n"),
+]
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("argv, text", _FILE_KINDS)
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path, argv, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(_BOM + text.encode())
+    expected = run_cli(capsys, *argv, str(plain))
+    assert expected[0] != EXIT_ERROR
+    assert run_cli(capsys, *argv, str(marked)) == expected
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _FILE_KINDS])
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_at_its_line(capsys, tmp_path, argv):
+    path = tmp_path / "input.txt"
+    path.write_bytes(_BOM + b"# comment\n\n\xfe\n")
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {path}:3: not valid UTF-8 (byte 0xfe)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (
+            ("check", "p", "--theory"),
+            b"p & " + _BOM + b"q\n",
+            "1: syntax error at offset 5: unexpected character '\\ufeff'",
+        ),
+        (
+            ("check", "p", "--theory"),
+            _BOM * 2 + b"p\n",
+            "1: syntax error at offset 1: unexpected character '\\ufeff'",
+        ),
+        (
+            ("quantum",),
+            _BOM + b"bound 1/2\n" + _BOM + b"atom p momentum [0, 1]\n",
+            "2: unrecognized directive: '\\ufeffatom'",
+        ),
+    ],
+)
+def test_a_byte_order_mark_past_the_first_is_an_error(capsys, tmp_path, argv, data, message):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {path}:{message}\n"
+
+
 def test_missing_theory_file_exits_two(capsys, tmp_path):
     missing = tmp_path / "nope.thy"
     code, _, err = run_cli(capsys, "check", "p", "--theory", str(missing))
@@ -189,6 +244,16 @@ def test_table_rejects_modal_formulas(capsys):
     code, _, err = run_cli(capsys, "table", "K(p)")
     assert code == EXIT_ERROR
     assert "check" in err
+
+
+def test_table_reports_a_modal_formula_before_loading_constraints(capsys, tmp_path):
+    missing = tmp_path / "missing.cons"
+    code, out, err = run_cli(capsys, "table", "p | K(q)", "--constraints", str(missing))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == (
+        "error: formula contains the knowledge operator: p | K(q) "
+        "(truth tables are classical; use the check command)\n"
+    )
 
 
 def test_table_constraints_file(capsys, tmp_path):
@@ -515,6 +580,25 @@ def test_a_directive_that_only_starts_like_one_is_unrecognized(capsys, tmp_path,
     code, out, err = run_cli(capsys, "quantum", str(decl))
     assert (code, out) == (EXIT_ERROR, "")
     assert err == f"error: {decl}:2: unrecognized directive: {word!r}\n"
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("bound 0", "2: bound must be positive, got 0"),
+        ("bound -1/2", "2: bound must be positive, got -1/2"),
+        ("# zero as a decimal\nbound 0.0", "3: bound must be positive, got 0"),
+        ("bound 1/2\nbound 1/3", "3: duplicate bound directive"),
+        ("atom Bad position [0, 1]", "2: invalid atom name: 'Bad'"),
+        ("atom and position [0, 1]", "2: invalid atom name: 'and'"),
+    ],
+)
+def test_a_declaration_line_error_is_exact(capsys, tmp_path, lines, message):
+    decl = tmp_path / "bad.decl"
+    decl.write_text(f"atom p momentum [0, 1]\n{lines}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "quantum", str(decl))
+    assert (code, out) == (EXIT_ERROR, "")
+    assert err == f"error: {decl}:{message}\n"
 
 
 def test_quantum_json_includes_everything(capsys, demo_decl):

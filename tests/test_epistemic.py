@@ -9,11 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klogic import (
+    And,
     AtomLimitExceeded,
+    Bottom,
     EpistemicModel,
+    Iff,
+    Implies,
+    Know,
+    Not,
+    Or,
     Theory,
+    Top,
     UnknownAtom,
     Valuation,
+    Var,
     Verdict,
     are_equivalent_modal,
     atoms,
@@ -224,19 +233,51 @@ def test_engine_matches_reference_enumeration_on_random_queries():
             random_formula(rng, pool, depth=2, know_budget=1)
             for _ in range(rng.randint(0, 2))
         )
-        names = tuple(sorted(set(atoms(f)) | {a for ax in axioms for a in atoms(ax)}))
-        if not names:
-            continue
-        expected = oracle_first_model(f, axioms, names)
-        result = is_satisfiable(f, Theory(axioms))
-        if expected is None:
-            assert result.verdict is Verdict.UNSATISFIABLE
-            continue
-        worlds, designated = expected
-        m = result.model
-        assert result.verdict is Verdict.SATISFIABLE
-        assert [v.as_dict() for v in m.cell] == list(worlds)
-        assert m.designated == designated
+        _assert_first_model_matches_reference(f, axioms)
+
+
+def _assert_first_model_matches_reference(f, axioms):
+    """`is_satisfiable` agrees with the literal first-model search on the
+    verdict, every world of the cell and the designated index."""
+    names = tuple(sorted(set(atoms(f)).union(*map(atoms, axioms))))
+    if not names:
+        return
+    expected = oracle_first_model(f, axioms, names)
+    result = is_satisfiable(f, Theory(axioms))
+    if expected is None:
+        assert result.verdict is Verdict.UNSATISFIABLE, f
+        return
+    worlds, designated = expected
+    m = result.model
+    assert result.verdict is Verdict.SATISFIABLE, f
+    assert [v.as_dict() for v in m.cell] == list(worlds), f
+    assert m.designated == designated, f
+
+
+def _formulas_up_to(size: int) -> list:
+    """Every formula of at most `size` nodes over a, b, true and false."""
+    by_size = {1: [Var("a"), Var("b"), Top(), Bottom()]}
+    for n in range(2, size + 1):
+        by_size[n] = [op(g) for g in by_size[n - 1] for op in (Not, Know)] + [
+            op(left, right)
+            for k in range(1, n - 1)
+            for left in by_size[k]
+            for right in by_size[n - 1 - k]
+            for op in (And, Or, Implies, Iff)
+        ]
+    return [f for n in sorted(by_size) for f in by_size[n]]
+
+
+@pytest.mark.parametrize("theory", ["", "a", "K(a) -> !K(b)", "a | b", "K(a | b)"])
+def test_engine_matches_reference_on_every_formula_of_five_nodes(theory):
+    """Bounded-exhaustive differential: small scopes hold the corner cases
+    that random draws miss.  Queries over no atom at all are skipped, as the
+    engine needs at least one."""
+    formulas = _formulas_up_to(5)
+    assert len(formulas) == 4156
+    axioms = (parse(theory),) if theory else ()
+    for f in formulas:
+        _assert_first_model_matches_reference(f, axioms)
 
 
 @given(any_formulas)

@@ -66,7 +66,7 @@ def test_interval_validation():
         IntervalProposition("p", MOM, Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
         IntervalProposition("p", MOM, Fraction(2), Fraction(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^invalid atom name: 'And'$"):
         IntervalProposition("And", MOM, Fraction(0), Fraction(1))
 
 

@@ -147,6 +147,7 @@ def test_single_dash_and_single_angle_are_rejected():
         ("é", 1, "invalid atom name 'é' (atoms match [a-z][a-zA-Z0-9_]*)"),
         ("_x", 1, "invalid atom name '_x' (atoms match [a-z][a-zA-Z0-9_]*)"),
         ("Ab", 1, "invalid atom name 'Ab' (atoms match [a-z][a-zA-Z0-9_]*)"),
+        ("p & and", 5, "reserved word 'and' cannot be used as an atom"),
         ("p -> ", 6, "expected a formula, found end of input"),
         ("", 1, "expected a formula, found end of input"),
         ("K p", 3, "expected '(', found 'p'"),
