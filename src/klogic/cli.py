@@ -193,27 +193,29 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
-    from .quantum import generate
+    from .quantum import _generated_theory, _incompatible_pairs
     from .quantum_report import _axiom_lines, _axioms_json, _proposition_json
 
     decls = load_declarations(args.declarations)
-    gen = generate(decls.propositions, decls.config)
+    pairs = _incompatible_pairs(decls.propositions, decls.config)
     check = None
     if args.check is not None:
         f = parse(args.check)
-        result = _run_query(f, gen.axioms, args.mode, args.atom_limit)
+        theory = _generated_theory(pairs, decls.config).axioms
+        result = _run_query(f, theory, args.mode, args.atom_limit)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 
     as_json = args.format == "json"
     report: dict = {"command": "quantum", "bound": str(decls.config.bound)}
     # Text prints no propositions or constraints, and axioms only on request;
-    # on a large file rendering them costs more than generating them.
+    # on a large file rendering them costs more than finding the pairs.
     if as_json:
         report["propositions"] = [_proposition_json(p) for p in decls.propositions]
     if as_json or args.list_axioms:
-        report["axioms"] = _axioms_json(gen, report["bound"])
+        report["axioms"] = _axioms_json(pairs, report["bound"])
     if as_json:
-        report["constraints"] = [render(c) for c in gen.constraints]
+        # As render prints Not(And(m, x)).
+        report["constraints"] = [f"!({m.atom} & {x.atom})" for m, x in pairs]
     if check is not None:
         report["check"] = check
 
@@ -225,9 +227,10 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
             lines.extend(_axiom_lines(report["axioms"]))
         if check is not None:
             lines.extend(_check_lines(check))
+        # Atom names are unique, so every pair is one axiom and one constraint.
         summary = (
-            f"{len(decls.propositions)} propositions, {len(gen.axioms.axioms)} axioms, "
-            f"{len(gen.constraints)} constraints, bound {report['bound']}"
+            f"{len(decls.propositions)} propositions, {len(pairs)} axioms, "
+            f"{len(pairs)} constraints, bound {report['bound']}"
         )
         _print("\n".join(lines or [summary]))
     return EXIT_OK if check is None or result.holds else EXIT_NEGATIVE

@@ -121,7 +121,9 @@ def erase_K(f: Formula) -> Formula:
 def _model_from_mask(
     names: tuple[str, ...], cell_mask: int, designated_index: int
 ) -> EpistemicModel:
-    indices = [i for i in range(cell_mask.bit_length()) if (cell_mask >> i) & 1]
+    # One scan of the binary text, lowest bit first: shifting the whole mask
+    # once per bit is quadratic in its width.
+    indices = [i for i, bit in enumerate(bin(cell_mask)[:1:-1]) if bit == "1"]
     cell = tuple(valuation_at(names, i) for i in indices)
     return EpistemicModel(names, cell, indices.index(designated_index))
 

@@ -119,39 +119,68 @@ class GeneratedTheory(Record):
     provenance: tuple[AxiomProvenance, ...]
 
 
-def generate(
+def _incompatible_pairs(
     props: list[IntervalProposition] | tuple[IntervalProposition, ...],
-    cfg: PhysicsConfig = PhysicsConfig(),
-) -> GeneratedTheory:
-    """One axiom K(m) -> !K(x) and one constraint !(m & x) per incompatible
-    momentum/position pair, in declaration order; nothing else."""
+    cfg: PhysicsConfig,
+) -> list[tuple[IntervalProposition, IntervalProposition]]:
+    """Every (momentum, position) pair whose width product falls below the
+    bound: momenta in declaration order, and each momentum's positions in
+    declaration order."""
     seen: set[str] = set()
     for p in props:
         if p.atom in seen:
             raise DuplicateAtom(f"atom '{p.atom}' declared more than once")
         seen.add(p.atom)
+    positions = [(x, x.width) for x in props if x.kind is ObservableKind.POSITION]
+    pairs = []
+    for m in props:
+        if m.kind is ObservableKind.MOMENTUM:
+            # Widths are positive, so m.width * x.width < bound exactly when
+            # x.width < bound / m.width.
+            threshold = cfg.bound / m.width
+            pairs += [(m, x) for x, x_width in positions if x_width < threshold]
+    return pairs
+
+
+def _sides(
+    pairs: list[tuple[IntervalProposition, IntervalProposition]],
+) -> dict[int, tuple[Var, Formula, Fraction]]:
+    """Per proposition of `pairs`, keyed by `id`: its Var, its side of the
+    axiom (K(m) for a momentum, !K(x) for a position) and its width, built
+    once and shared by every pair it is in."""
+    sides = {}
+    for p in {id(p): p for pair in pairs for p in pair}.values():
+        v = p.var
+        side = Know(v) if p.kind is ObservableKind.MOMENTUM else Not(Know(v))
+        sides[id(p)] = v, side, p.width
+    return sides
+
+
+def _generated_theory(
+    pairs: list[tuple[IntervalProposition, IntervalProposition]], cfg: PhysicsConfig
+) -> GeneratedTheory:
+    """The axioms, constraints and provenance of `pairs`, in their order."""
+    sides = _sides(pairs)
     axioms: list[Formula] = []
     constraints: list[Formula] = []
     provenance: list[AxiomProvenance] = []
-    positions = []
-    for x in props:
-        if x.kind is ObservableKind.POSITION:
-            x_var = x.var
-            positions.append((x, x.width, x_var, Not(Know(x_var))))
-    for m in props:
-        if m.kind is not ObservableKind.MOMENTUM:
-            continue
-        m_width, m_var = m.width, m.var
-        knows_m = Know(m_var)
-        # Widths are positive, so m.width * x.width < bound exactly when
-        # x.width < bound / m.width.
-        threshold = cfg.bound / m_width
-        for x, x_width, x_var, not_knows_x in positions:
-            if x_width >= threshold:
-                continue
-            axioms.append(Implies(knows_m, not_knows_x))
-            constraints.append(Not(And(m_var, x_var)))
-            provenance.append(AxiomProvenance(m, x, m_width * x_width, cfg.bound))
+    for m, x in pairs:
+        (m_var, knows_m, m_width), (x_var, not_knows_x, x_width) = sides[id(m)], sides[id(x)]
+        axioms.append(Implies(knows_m, not_knows_x))
+        constraints.append(Not(And(m_var, x_var)))
+        provenance.append(AxiomProvenance(m, x, m_width * x_width, cfg.bound))
     return GeneratedTheory(
         Theory(tuple(axioms)), ConstraintSet(tuple(constraints)), tuple(provenance)
     )
+
+
+def generate(
+    props: list[IntervalProposition] | tuple[IntervalProposition, ...],
+    cfg: PhysicsConfig = PhysicsConfig(),
+) -> GeneratedTheory:
+    """One axiom K(m) -> !K(x) and one constraint !(m & x) per incompatible
+    momentum/position pair, in declaration order; nothing else.
+
+    Only a theory or constraints need these formula nodes: the `quantum`
+    command's listings and JSON are rendered from the pairs alone."""
+    return _generated_theory(_incompatible_pairs(props, cfg), cfg)

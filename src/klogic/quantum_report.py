@@ -3,6 +3,11 @@ generated axioms, and the built-in worked example.
 
 These need the interval and uncertainty code (`quantum`, `fractions`), so
 `check` and `table` never load this module.
+
+Axiom listings are rendered from the incompatible (momentum, position)
+pairs that `quantum._incompatible_pairs` finds, not from formula nodes.
+Nodes are built, from the same pairs, only where a theory or constraints
+are used: `quantum --check` and the demo's queries and table.
 """
 
 from __future__ import annotations
@@ -14,38 +19,38 @@ from .classical import TruthTable, is_tautology, truth_table
 from .cli import _check_json, _query_lines
 from .epistemic import CheckResult, Theory, is_satisfiable, is_valid
 from .quantum import (
-    GeneratedTheory,
     IntervalProposition,
     ObservableKind,
     PhysicsConfig,
-    generate,
+    _generated_theory,
+    _incompatible_pairs,
+    _sides,
     merge,
     uncertainty_product,
 )
-from .syntax import Formula, parse, render
+from .syntax import parse, render
 from .tables import _table_json, _table_text
 
 
-def _axioms_json(gen: GeneratedTheory, bound: str) -> list[dict]:
-    """One entry per axiom, each generated under the bound whose text is
-    `bound`.  Axioms share their propositions and, as generate builds them,
-    their K(m) and !K(x) nodes: each of those is turned into text once."""
-    pairs = list(zip(gen.axioms.axioms, gen.provenance))
-    shared = {id(o): o for ax, pv in pairs for o in (ax.left, ax.right, pv.momentum, pv.position)}
-    # A node is shown as its formula, a proposition as its width.
-    text = {key: render(o) if isinstance(o, Formula) else str(o.width) for key, o in shared.items()}
-    return [
-        {
+def _axioms_json(pairs: list[tuple[IntervalProposition, IntervalProposition]], bound: str) -> list[dict]:
+    """One entry per incompatible pair, each generated under the bound whose
+    text is `bound`.  No axiom node is built: each proposition's K(m) or
+    !K(x) and its width are turned into text once, and each pair's product
+    once."""
+    text = {key: (render(side), w, str(w)) for key, (_, side, w) in _sides(pairs).items()}
+    axioms = []
+    for m, x in pairs:
+        (knows_m, m_width, m_text), (not_knows_x, x_width, x_text) = text[id(m)], text[id(x)]
+        axioms.append({
             # K(m) -> !K(x): neither side is parenthesized.
-            "formula": f"{text[id(ax.left)]} -> {text[id(ax.right)]}",
-            "momentum": pv.momentum.atom,
-            "position": pv.position.atom,
-            "widths": [text[id(pv.momentum)], text[id(pv.position)]],
-            "product": str(pv.product),
+            "formula": f"{knows_m} -> {not_knows_x}",
+            "momentum": m.atom,
+            "position": x.atom,
+            "widths": [m_text, x_text],
+            "product": str(m_width * x_width),
             "bound": bound,
-        }
-        for ax, pv in pairs
-    ]
+        })
+    return axioms
 
 
 def _proposition_json(p: IntervalProposition) -> dict:
@@ -86,7 +91,8 @@ def _demo_report() -> tuple[dict, TruthTable]:
     s = merge(q, r, "s")
     config = PhysicsConfig()
     bound = config.bound
-    gen = generate((p, q, r), config)
+    pairs = _incompatible_pairs((p, q, r), config)
+    gen = _generated_theory(pairs, config)
     distributivity = parse("p & (q | r) <-> (p & q) | (p & r)")
     table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), gen.constraints)
 
@@ -110,7 +116,7 @@ def _demo_report() -> tuple[dict, TruthTable]:
             "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
         },
         "table": _table_json(table),
-        "axioms": _axioms_json(gen, str(bound)),
+        "axioms": _axioms_json(pairs, str(bound)),
         "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, gen.axioms),
         "k_distribution": {
             "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),

@@ -83,12 +83,9 @@ def _run(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def _write_temp(suffix: str, text: str) -> str:
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=suffix, delete=False, encoding="utf-8"
-    ) as fh:
-        fh.write(text)
-        return fh.name
+def _write_temp(path: Path, text: str) -> str:
+    path.write_text(text, encoding="utf-8")
+    return str(path)
 
 
 DEMO_DECL = str(DATA / "demo.decl")
@@ -228,13 +225,18 @@ def test_criterion_11_s5_schema_suite():
 
 @criterion(12, "demo matches its golden file; exit codes follow 0/1/2")
 def test_criterion_12_cli_contract():
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_cli_contract(Path(tmp))
+
+
+def _check_cli_contract(tmp: Path) -> None:
     demo = _run("demo")
     assert demo.returncode == 0
     assert demo.stdout == (DATA / "demo.golden.txt").read_text(encoding="utf-8")
 
     decl = DEMO_DECL
-    theory = _write_temp(".thy", "K(p) -> !K(q)\nK(p) -> !K(r)\n")
-    empty = _write_temp(".decl", "atom a momentum [0, 1]\natom b position [0, 1]\n")
+    theory = _write_temp(tmp / "demo.thy", "K(p) -> !K(q)\nK(p) -> !K(r)\n")
+    empty = _write_temp(tmp / "empty.decl", "atom a momentum [0, 1]\natom b position [0, 1]\n")
 
     # check: affirmative, negative, usage error
     assert _run("check", "K(a & b) <-> (K(a) & K(b))", "--mode", "valid").returncode == 0

@@ -638,6 +638,16 @@ def test_demo_json_matches_golden_file(capsys):
     assert out == (DATA / "demo.golden.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "flags, golden",
+    [(("--echo", "--list-axioms"), "quantum.golden.txt"), (("--format", "json"), "quantum.golden.json")],
+)
+def test_quantum_matches_golden_files(capsys, flags, golden):
+    code, out, _ = run_cli(capsys, "quantum", str(DATA / "quantum.decl"), *flags)
+    assert code == EXIT_OK
+    assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
 def test_demo_key_lines(capsys):
     _, out, _ = run_cli(capsys, "demo")
     assert "2/3 >= 1/2: compatible" in out

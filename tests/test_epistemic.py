@@ -35,6 +35,7 @@ from klogic import (
     parse,
     valuation_at,
 )
+from klogic.epistemic import _model_from_mask
 from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
 from test_syntax import formulas as any_formulas
@@ -234,6 +235,20 @@ def test_engine_matches_reference_enumeration_on_random_queries():
             for _ in range(rng.randint(0, 2))
         )
         _assert_first_model_matches_reference(f, axioms)
+
+
+def test_model_from_mask_matches_a_bit_by_bit_construction():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        names = tuple(f"a{k:02d}" for k in range(n))
+        mask = rng.getrandbits(1 << n) or 1 << rng.randrange(1 << n)
+        indices = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+        designated = rng.choice(indices)
+        expected = EpistemicModel(
+            names, tuple(valuation_at(names, i) for i in indices), indices.index(designated)
+        )
+        assert _model_from_mask(names, mask, designated) == expected
 
 
 def _assert_first_model_matches_reference(f, axioms):

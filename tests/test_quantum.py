@@ -288,11 +288,23 @@ def test_generate_matches_a_pairwise_loop(declared, bound):
     assert gen.provenance == tuple(provenance)
 
 
-def _listing(path: str, *flags: str) -> str:
+def _quantum(path: str, *flags: str) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["quantum", path, "--list-axioms", *flags]) == EXIT_OK
+        assert main(["quantum", path, *flags]) == EXIT_OK
     return out.getvalue()
+
+
+def _listing(path: str, *flags: str) -> str:
+    return _quantum(path, "--list-axioms", *flags)
+
+
+def _write_decl(path, props: tuple[IntervalProposition, ...], bound: Fraction) -> str:
+    path.write_text(
+        f"bound {bound}\n" + "".join(f"atom {p.atom} {p.kind.value} [{p.lo}, {p.hi}]\n" for p in props),
+        encoding="utf-8",
+    )
+    return str(path)
 
 
 @given(_declared, st.sampled_from([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
@@ -305,11 +317,7 @@ def test_axiom_listings_match_each_provenance(tmp_path_factory, declared, bound)
         IntervalProposition(f"a{i}", kind, Fraction(lo), lo + width)
         for i, (kind, lo, width) in enumerate(declared)
     )
-    path = tmp_path_factory.getbasetemp() / "listing.decl"
-    path.write_text(
-        f"bound {bound}\n" + "".join(f"atom {p.atom} {p.kind.value} [{p.lo}, {p.hi}]\n" for p in props),
-        encoding="utf-8",
-    )
+    path = _write_decl(tmp_path_factory.getbasetemp() / "listing.decl", props, bound)
     gen = generate(props, PhysicsConfig(bound))
     expected = []
     for axiom, pv in zip(gen.axioms.axioms, gen.provenance):
@@ -328,5 +336,38 @@ def test_axiom_listings_match_each_provenance(tmp_path_factory, declared, bound)
         f"{a['formula']}   [widths {a['widths'][0]} * {a['widths'][1]} = {a['product']} < {a['bound']}]"
         for a in expected
     ]
-    assert _listing(str(path)) == "\n".join(lines or ["no axioms generated"]) + "\n"
-    assert json.loads(_listing(str(path), "--format", "json"))["axioms"] == expected
+    assert _listing(path) == "\n".join(lines or ["no axioms generated"]) + "\n"
+    assert json.loads(_listing(path, "--format", "json"))["axioms"] == expected
+
+
+_kind_widths = st.lists(st.tuples(st.integers(-3, 3), _widths), max_size=8)
+
+
+@given(_kind_widths, _kind_widths, st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       st.randoms(use_true_random=False))
+@example([(0, Fraction(1, 4))], [(1, Fraction(2))], Fraction(1, 2), random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_pair_built_report_agrees_with_generate(tmp_path_factory, momenta, positions, bound, rnd):
+    """The `quantum` report is built from the incompatible pairs, without
+    formula nodes; it must read as generate()'s nodes and provenance render."""
+    declared = [(MOM, lo, w) for lo, w in momenta] + [(POS, lo, w) for lo, w in positions]
+    rnd.shuffle(declared)
+    props = tuple(
+        IntervalProposition(f"a{i}", kind, Fraction(lo), lo + width)
+        for i, (kind, lo, width) in enumerate(declared)
+    )
+    path = _write_decl(tmp_path_factory.getbasetemp() / "pairs.decl", props, bound)
+    gen = generate(props, PhysicsConfig(bound))
+    report = json.loads(_quantum(path, "--format", "json"))
+    assert [a["formula"] for a in report["axioms"]] == [render(a) for a in gen.axioms.axioms]
+    assert [(a["momentum"], a["position"], a["widths"], a["product"], a["bound"])
+            for a in report["axioms"]] == [
+        (pv.momentum.atom, pv.position.atom, [str(pv.momentum.width), str(pv.position.width)],
+         str(pv.product), str(pv.bound))
+        for pv in gen.provenance
+    ]
+    assert report["constraints"] == [render(c) for c in gen.constraints]
+    assert _quantum(path) == (
+        f"{len(props)} propositions, {len(gen.axioms.axioms)} axioms, "
+        f"{len(gen.constraints)} constraints, bound {bound}\n"
+    )
