@@ -51,7 +51,7 @@ class Valuation(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "bits", tuple(bool(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(map(bool, self.bits)))
         if list(self.atoms) != sorted(set(self.atoms)):
             raise ValueError("valuation atoms must be sorted and duplicate-free")
         if len(self.bits) != len(self.atoms):
@@ -70,8 +70,9 @@ class Valuation(Record):
 def valuation_at(names: Sequence[str], index: int) -> Valuation:
     """The index-th canonical valuation (first atom = most significant bit)."""
     n = len(names)
-    bits = tuple(bool((index >> (n - 1 - k)) & 1) for k in range(n))
-    return Valuation(tuple(names), bits)
+    # The low n binary digits, zero-padded; no digit at all when n is 0.
+    digits = format(index, f"0{n}b")
+    return Valuation(tuple(names), tuple(map("1".__eq__, digits[len(digits) - n :])))
 
 
 def all_valuations(names: Sequence[str]) -> Iterator[Valuation]:

@@ -33,7 +33,6 @@ from .classical import (
     DEFAULT_ATOM_LIMIT,
     DEFAULT_MODAL_ATOM_LIMIT,
     ConstraintSet,
-    TruthTable,
     _require_k_free,
     truth_table,
 )
@@ -112,22 +111,22 @@ def _print(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _print_json(report: dict, table: TruthTable | None = None) -> None:
+def _print_json(report: dict, slot: tuple | None = None) -> None:
     """Write json.dumps(report, indent=2) and a newline.
 
-    With a table, whose report holds an empty `rows` list, the table's rows
-    are written in that list's place as they are produced, so the document
-    is never held whole.
+    With a slot (key, items), whose report holds an empty list under `key`,
+    items(indent) is written in that list's place as it is produced, where
+    indent is the line break and indentation of the key's line: a table's
+    rows (tables._rows_slot) or a listing's axioms (quantum_report
+    ._axioms_slot).  The document is never held whole.
     """
     import json
 
     text = json.dumps(report, indent=2)
-    if table is not None:
-        from .tables import _ROWS_SLOT, _json_rows
-
-        head, _, text = text.partition(_ROWS_SLOT)
-        sys.stdout.write(head + '"rows": ')
-        sys.stdout.writelines(_json_rows(table, head[head.rfind("\n") :]))
+    if slot:
+        head, _, text = text.partition(f'"{slot[0]}": []')
+        sys.stdout.write(f'{head}"{slot[0]}": ')
+        sys.stdout.writelines(slot[1](head[head.rfind("\n") :]))
     sys.stdout.write(text + "\n")
 
 
@@ -165,7 +164,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from .tables import _table_json, _table_text
+    from .tables import _rows_slot, _table_json, _table_text
 
     formulas = [parse(text) for text in args.formulas]
     _require_k_free(formulas, why="truth tables are classical; use the check command")
@@ -185,7 +184,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.format == "json":
         report = {"command": "table", **_table_json(table)}
         report["constraints"] = [render(c) for c in constraints]
-        _print_json(report, table)
+        _print_json(report, _rows_slot(table))
     else:
         sys.stdout.writelines(_table_text(table, args.format))
     return EXIT_OK
@@ -194,7 +193,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
     from .quantum import _generated_theory, _incompatible_pairs
-    from .quantum_report import _axiom_lines, _axioms_json, _proposition_json
+    from .quantum_report import _axiom_lines, _axioms_json, _axioms_slot, _proposition_json
 
     decls = load_declarations(args.declarations)
     pairs = _incompatible_pairs(decls.propositions, decls.config)
@@ -208,19 +207,19 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     as_json = args.format == "json"
     report: dict = {"command": "quantum", "bound": str(decls.config.bound)}
     # Text prints no propositions or constraints, and axioms only on request;
-    # on a large file rendering them costs more than finding the pairs.
+    # JSON writes its axioms into their empty list, one entry at a time.
     if as_json:
         report["propositions"] = [_proposition_json(p) for p in decls.propositions]
-    if as_json or args.list_axioms:
-        report["axioms"] = _axioms_json(pairs, report["bound"])
-    if as_json:
+        report["axioms"] = []
         # As render prints Not(And(m, x)).
         report["constraints"] = [f"!({m.atom} & {x.atom})" for m, x in pairs]
+    elif args.list_axioms:
+        report["axioms"] = _axioms_json(pairs, report["bound"])
     if check is not None:
         report["check"] = check
 
     if as_json:
-        _print_json(report)
+        _print_json(report, _axioms_slot(pairs, report["bound"]))
     else:
         lines = format_declarations(decls).splitlines() if args.echo else []
         if args.list_axioms:
@@ -238,10 +237,11 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from .quantum_report import _demo_lines, _demo_report
+    from .tables import _rows_slot
 
     report, table = _demo_report()
     if args.format == "json":
-        _print_json(report, table)
+        _print_json(report, _rows_slot(table))
     else:
         _print("\n".join(_demo_lines(report, table)))
     return EXIT_OK

@@ -8,7 +8,9 @@ epistemic axiom K(m) -> !K(x) and one classical constraint !(m & x).
 
 All arithmetic is exact: widths, products, and the bound are
 `fractions.Fraction` values, so comparisons at the bound are never subject
-to rounding.
+to rounding.  The pair search compares cross-multiplied integers instead of
+fractions, and scans the positions once per distinct momentum width, so a
+listing costs about what its output does.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ class ObservableKind(Enum):
 
 
 class IntervalProposition(Record):
-    """An atom asserting that an observable lies in [lo, hi] (natural units)."""
+    """An atom asserting that an observable lies in [lo, hi] (natural units).
+
+    `width`, hi - lo, is computed once, when the proposition is built; it is
+    an attribute, not a field, so it takes no part in equality or the repr.
+    """
 
     atom: str
     kind: ObservableKind
@@ -37,16 +43,13 @@ class IntervalProposition(Record):
 
     def __post_init__(self):
         Var(self.atom)  # refuses an invalid name
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError(
-                f"interval must have positive width, got [{self.lo}, {self.hi}]"
-            )
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        lo = self.lo if type(self.lo) is Fraction else Fraction(self.lo)
+        hi = self.hi if type(self.hi) is Fraction else Fraction(self.hi)
+        width = hi - lo
+        if not width.numerator > 0:
+            raise ValueError(f"interval must have positive width, got [{lo}, {hi}]")
+        for name, value in (("lo", lo), ("hi", hi), ("width", width)):
+            object.__setattr__(self, name, value)
 
     @property
     def var(self) -> Var:
@@ -131,14 +134,25 @@ def _incompatible_pairs(
         if p.atom in seen:
             raise DuplicateAtom(f"atom '{p.atom}' declared more than once")
         seen.add(p.atom)
-    positions = [(x, x.width) for x in props if x.kind is ObservableKind.POSITION]
+    bn, bd = cfg.bound.numerator, cfg.bound.denominator
+    positions = [
+        (x, x.width.numerator, x.width.denominator)
+        for x in props
+        if x.kind is ObservableKind.POSITION
+    ]
+    # Momenta of one width have the same positions; they are found once.
+    below: dict[tuple[int, int], list[IntervalProposition]] = {}
     pairs = []
     for m in props:
         if m.kind is ObservableKind.MOMENTUM:
-            # Widths are positive, so m.width * x.width < bound exactly when
-            # x.width < bound / m.width.
-            threshold = cfg.bound / m.width
-            pairs += [(m, x) for x, x_width in positions if x_width < threshold]
+            key = m.width.numerator, m.width.denominator
+            if key not in below:
+                # Widths are positive, so m.width * x.width < bound exactly
+                # when x.width < bound / m.width = tn / td, compared here as
+                # cross-multiplied integers.
+                tn, td = bn * key[1], bd * key[0]
+                below[key] = [x for x, n, d in positions if n * td < tn * d]
+            pairs += [(m, x) for x in below[key]]
     return pairs
 
 

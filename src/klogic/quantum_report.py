@@ -7,13 +7,16 @@ These need the interval and uncertainty code (`quantum`, `fractions`), so
 Axiom listings are rendered from the incompatible (momentum, position)
 pairs that `quantum._incompatible_pairs` finds, not from formula nodes.
 Nodes are built, from the same pairs, only where a theory or constraints
-are used: `quantum --check` and the demo's queries and table.
+are used: `quantum --check` and the demo's queries and table.  A listing
+renders each proposition's side and width once and each product once per
+distinct pair of widths; in JSON its entries are written one at a time,
+each from one template (`_axioms_slot`), so `json` is loaded only there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .classical import TruthTable, is_tautology, truth_table
 from .cli import _check_json, _query_lines
@@ -32,25 +35,68 @@ from .syntax import parse, render
 from .tables import _table_json, _table_text
 
 
+def _axiom_fields(
+    pairs: list[tuple[IntervalProposition, IntervalProposition]],
+) -> Iterator[tuple[str, str, str, str, str, str]]:
+    """Per incompatible pair, in order: its formula, momentum, position,
+    widths and product, as text.  No axiom node is built: each proposition's
+    K(m) or !K(x) and its width are turned into text once, and each product
+    once per distinct pair of width texts."""
+    text = {key: (render(side), w, str(w)) for key, (_, side, w) in _sides(pairs).items()}
+    products: dict[tuple[str, str], str] = {}
+    for m, x in pairs:
+        knows_m, m_width, m_text = text[id(m)]
+        not_knows_x, x_width, x_text = text[id(x)]
+        key = m_text, x_text
+        if key not in products:
+            products[key] = str(m_width * x_width)
+        # K(m) -> !K(x): neither side is parenthesized.
+        yield f"{knows_m} -> {not_knows_x}", m.atom, x.atom, m_text, x_text, products[key]
+
+
+def _axiom_json(
+    formula: str, momentum: str, position: str, m_width: str, x_width: str, product: str, bound: str
+) -> dict:
+    return {
+        "formula": formula,
+        "momentum": momentum,
+        "position": position,
+        "widths": [m_width, x_width],
+        "product": product,
+        "bound": bound,
+    }
+
+
 def _axioms_json(pairs: list[tuple[IntervalProposition, IntervalProposition]], bound: str) -> list[dict]:
     """One entry per incompatible pair, each generated under the bound whose
-    text is `bound`.  No axiom node is built: each proposition's K(m) or
-    !K(x) and its width are turned into text once, and each pair's product
-    once."""
-    text = {key: (render(side), w, str(w)) for key, (_, side, w) in _sides(pairs).items()}
-    axioms = []
-    for m, x in pairs:
-        (knows_m, m_width, m_text), (not_knows_x, x_width, x_text) = text[id(m)], text[id(x)]
-        axioms.append({
-            # K(m) -> !K(x): neither side is parenthesized.
-            "formula": f"{knows_m} -> {not_knows_x}",
-            "momentum": m.atom,
-            "position": x.atom,
-            "widths": [m_text, x_text],
-            "product": str(m_width * x_width),
-            "bound": bound,
-        })
-    return axioms
+    text is `bound`."""
+    return [_axiom_json(*fields, bound) for fields in _axiom_fields(pairs)]
+
+
+def _axioms_slot(
+    pairs: list[tuple[IntervalProposition, IntervalProposition]], bound: str
+) -> tuple[str, Callable[[str], Iterator[str]]]:
+    """The `axioms` slot of a `quantum` report for cli._print_json: given
+    the line break and indentation of the key's line, the chunks that
+    json.dumps(..., indent=2) prints for _axioms_json(pairs, bound), one
+    entry per chunk.  Every entry fills one template, json.dumps of a
+    placeholder entry, with its strings encoded as json.dumps encodes
+    them."""
+
+    def items(indent: str) -> Iterator[str]:
+        import json
+        from json.encoder import encode_basestring_ascii as encode
+
+        item = indent + "  "
+        placeholder = json.dumps(_axiom_json(*["%s"] * 6, bound), indent=2)
+        template = placeholder.replace("%", "%%").replace('"%%s"', "%s").replace("\n", item)
+        sep = "[" + item
+        for fields in _axiom_fields(pairs):
+            yield sep + template % tuple(map(encode, fields))
+            sep = "," + item
+        yield indent + "]" if pairs else "[]"
+
+    return "axioms", items
 
 
 def _proposition_json(p: IntervalProposition) -> dict:

@@ -7,6 +7,7 @@ imported only when they are.
 
 from __future__ import annotations
 
+import functools
 from itertools import chain, product, repeat
 from typing import Callable, Iterator
 
@@ -69,8 +70,8 @@ def _table_text(table: TruthTable, fmt: str) -> Iterator[str]:
 
 
 def _table_json(table: TruthTable) -> dict:
-    """A table report; its rows are written into the empty `rows` list by
-    _print_json."""
+    """A table report; its rows are written into the empty `rows` list
+    through _rows_slot."""
     return {
         "atoms": list(table.atoms),
         "formulas": [render(f) for f in table.formulas],
@@ -78,10 +79,11 @@ def _table_json(table: TruthTable) -> dict:
     }
 
 
-# How json.dumps(..., indent=2) prints the empty `rows` list of a table
-# report.  It marks one place only: "rows" is the only key of that name in
-# a table or demo report, and the quotes of a string value are escaped.
-_ROWS_SLOT = '"rows": []'
+def _rows_slot(table: TruthTable) -> tuple[str, Callable[[str], Iterator[str]]]:
+    """The `rows` slot of a table report for cli._print_json.  It marks one
+    place only: "rows" is the only key of that name in a table or demo
+    report, and the quotes of a string value are escaped."""
+    return "rows", functools.partial(_json_rows, table)
 
 
 def _json_rows(table: TruthTable, indent: str) -> Iterator[str]:

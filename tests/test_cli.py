@@ -29,7 +29,7 @@ from klogic.cli import (
 )
 from klogic.declarations import MAX_RATIONAL_DIGITS
 from klogic.quantum_report import _axiom_lines, _demo_lines, _demo_report
-from klogic.tables import _table_json, _table_text
+from klogic.tables import _rows_slot, _table_json, _table_text
 from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
 
 DATA = Path(__file__).parent / "data"
@@ -377,7 +377,7 @@ def test_json_rows_match_json_dumps(table, command):
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        _print_json(report([]), table)
+        _print_json(report([]), _rows_slot(table))
     assert out.getvalue() == json.dumps(report(_reference_rows(table)), indent=2) + "\n"
 
 
@@ -646,6 +646,60 @@ def test_quantum_matches_golden_files(capsys, flags, golden):
     code, out, _ = run_cli(capsys, "quantum", str(DATA / "quantum.decl"), *flags)
     assert code == EXIT_OK
     assert out == (DATA / golden).read_text(encoding="utf-8")
+
+
+_NO_AXIOMS_DECL = "atom p momentum [0, 1]\natom q position [0, 1]\n"
+_ONE_AXIOM_DECL = "atom p momentum [0, 1/6]\natom q position [-1, 1]\n"
+# Five momenta and four positions in mixed order, two momenta of one width:
+# nine incompatible pairs under a bound whose text is not 1/2, and m4 with
+# x3 exactly at it.
+_MANY_AXIOMS_DECL = """\
+bound 7/3
+atom m0 momentum [0, 1/2]
+atom x0 position [0, 1]
+atom m1 momentum [-1, 2]
+atom m2 momentum [0.5, 1]
+atom x1 position [-3/2, 0]
+atom m3 momentum [0, 4]
+atom x2 position [2, 6]
+atom m4 momentum [10, 31/3]
+atom x3 position [0, 7]
+"""
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["check-valid", "check-countermodel", "check-theory", "table-constraints", "table-quantum",
+     "demo", "quantum-0-axioms", "quantum-1-axiom", "quantum-many-axioms", "quantum-check"],
+)
+def test_json_output_is_laid_out_as_json_dumps_prints_it(capsys, tmp_path, demo_decl, demo_theory, case):
+    """Parts of the JSON documents are written without json.dumps (table
+    rows, quantum axioms); the layout must still be json.dumps(..., indent=2)
+    of the document, byte for byte."""
+    constraints = tmp_path / "constraints.txt"
+    constraints.write_text("!(p & q)\np | r\n", encoding="utf-8")
+    decls = {}
+    for name, text in (("0", _NO_AXIOMS_DECL), ("1", _ONE_AXIOM_DECL), ("many", _MANY_AXIOMS_DECL)):
+        decls[name] = tmp_path / f"{name}.decl"
+        decls[name].write_text(text, encoding="utf-8")
+    argv = {
+        "check-valid": ["check", "K(a) -> a"],
+        "check-countermodel": ["check", "K(a | b) -> K(a) | K(b)"],
+        "check-theory": ["check", "K(p) & K(q)", "--mode", "sat", "--theory", demo_theory],
+        "table-constraints": ["table", "p & (q | r)", "p -> r", "--constraints", str(constraints)],
+        "table-quantum": ["table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", demo_decl],
+        "demo": ["demo"],
+        "quantum-0-axioms": ["quantum", str(decls["0"])],
+        "quantum-1-axiom": ["quantum", str(decls["1"])],
+        "quantum-many-axioms": ["quantum", str(decls["many"])],
+        "quantum-check": ["quantum", str(decls["1"]), "--check", "K(p) & K(q)", "--mode", "sat"],
+    }[case]
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code in (EXIT_OK, EXIT_NEGATIVE) and err == ""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    axioms = {"quantum-0-axioms": 0, "quantum-1-axiom": 1, "quantum-many-axioms": 9, "quantum-check": 1}
+    if case in axioms:
+        assert len(json.loads(out)["axioms"]) == axioms[case]
 
 
 def test_demo_key_lines(capsys):

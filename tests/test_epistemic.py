@@ -245,9 +245,11 @@ def test_model_from_mask_matches_a_bit_by_bit_construction():
         mask = rng.getrandbits(1 << n) or 1 << rng.randrange(1 << n)
         indices = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
         designated = rng.choice(indices)
-        expected = EpistemicModel(
-            names, tuple(valuation_at(names, i) for i in indices), indices.index(designated)
+        # Each world's bits shifted out one at a time, first atom highest.
+        cell = tuple(
+            Valuation(names, tuple(bool((i >> (n - 1 - k)) & 1) for k in range(n))) for i in indices
         )
+        expected = EpistemicModel(names, cell, indices.index(designated))
         assert _model_from_mask(names, mask, designated) == expected
 
 

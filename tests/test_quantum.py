@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from klogic import (
     uncertainty_product,
 )
 from klogic.cli import EXIT_OK, main
+from klogic.quantum import _incompatible_pairs
 
 MOM = ObservableKind.MOMENTUM
 POS = ObservableKind.POSITION
@@ -251,6 +253,65 @@ def test_generate_handles_many_pairs_in_declaration_order():
     ]
     assert [(pv.momentum, pv.position) for pv in gen.provenance] == expected
     assert len(gen.axioms.axioms) == len(expected)
+
+
+def _coprime_fraction(rng: random.Random, digits: int) -> Fraction:
+    """A fraction whose numerator and denominator both have `digits` digits
+    and share no factor, so that it is stored as drawn."""
+    while True:
+        n, d = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+        if math.gcd(n, d) == 1:
+            return Fraction(n, d)
+
+
+@pytest.mark.parametrize("wide_bound", [False, True], ids=["bound-1/2", "wide-bound"])
+def test_pair_search_matches_pairwise_compatible_at_1000_digits(wide_bound):
+    """_incompatible_pairs against a pairwise compatible() loop, in
+    declaration order.  Momentum widths of about 1000 digits, several
+    momenta per width and widths sharing a numerator or a denominator, each
+    with positions whose product lies just below, exactly at (compatible)
+    and just above the bound; the cache of positions per momentum width and
+    the cross-multiplied comparison must both be exact."""
+    rng = random.Random(13)
+    bound = _coprime_fraction(rng, 1000) if wide_bound else Fraction(1, 2)
+    base = [_coprime_fraction(rng, 1000) for _ in range(3)]
+    # Same numerator or same denominator as base[0], different value.
+    m_widths = base + [
+        Fraction(base[0].numerator, base[0].denominator + 2),
+        Fraction(base[0].numerator + 2, base[0].denominator),
+    ]
+    x_widths = []
+    for w in m_widths:
+        at = bound / w  # m.width * x.width == bound exactly
+        tiny = Fraction(1, at.denominator * 10**1000)
+        x_widths += [at - tiny, at, at + tiny]
+    x_widths += [_coprime_fraction(rng, 1000) for _ in range(4)]
+    momenta = [
+        IntervalProposition(f"m{i}", MOM, Fraction(i), i + m_widths[i % len(m_widths)])
+        for i in range(4 * len(m_widths))
+    ]
+    positions = [
+        IntervalProposition(f"x{i}", POS, Fraction(-i), -i + w) for i, w in enumerate(x_widths)
+    ]
+    props = momenta + positions
+    rng.shuffle(props)  # momenta of one width interleaved with others and with positions
+    cfg = PhysicsConfig(bound)
+    expected = [
+        (m.atom, x.atom)
+        for m in props
+        if m.kind is MOM
+        for x in props
+        if x.kind is POS and not compatible(m, x, cfg)
+    ]
+    pairs = _incompatible_pairs(props, cfg)
+    assert [(m.atom, x.atom) for m, x in pairs] == expected
+    # The data reaches the bound: every momentum is incompatible with the
+    # position just below it, and compatible with the ones at and above it.
+    found = set(expected)
+    for i, m in enumerate(momenta):
+        j = 3 * (i % len(m_widths))
+        assert (m.atom, f"x{j}") in found
+        assert (m.atom, f"x{j + 1}") not in found and (m.atom, f"x{j + 2}") not in found
 
 
 # Widths and bounds from a small set, so that many width products fall

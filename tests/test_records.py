@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -255,11 +256,13 @@ _UNUSED = {"klogic.quantum", "klogic.declarations", "fractions", "decimal", "jso
         (["table", "p | q"], _UNUSED | {"klogic.epistemic"}),
         (["table", "p | q", "--format", "csv"], _UNUSED | {"klogic.epistemic"}),
         (["table", "p | q", "--constraints", "{constraints}"], _UNUSED),
+        (["quantum", "{decl}", "--echo", "--list-axioms"], {"json"}),
     ],
-    ids=["check", "check-theory", "table", "table-csv", "table-constraints"],
+    ids=["check", "check-theory", "table", "table-csv", "table-constraints", "quantum-listing"],
 )
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
-    paths = {"theory": tmp_path / "a.thy", "constraints": tmp_path / "a.con"}
+    paths = {"theory": tmp_path / "a.thy", "constraints": tmp_path / "a.con",
+             "decl": Path(__file__).parent / "data" / "quantum.decl"}
     paths["theory"].write_text("K(a) -> !K(b)\n", encoding="utf-8")
     paths["constraints"].write_text("!(p & q)\n", encoding="utf-8")
     argv = [arg.format_map(paths) for arg in argv]
