@@ -10,9 +10,10 @@ parse, or input-file errors and for output that could not be written.
 Identical invocations produce byte-identical output; the engine's
 canonical enumeration order makes every reported model reproducible.
 
-Each command builds one report, the dict that `--format json` prints.
-Its text output is rendered from that dict and shows part of it; only
-`table` renders text and CSV straight from its `TruthTable`.
+Each command has one report, the dict that `--format json` prints.  The
+text of `check` and `demo` is rendered from that dict and shows part of
+it; `table` and `quantum` write their text from the data their report is
+built from, a `TruthTable` and the incompatible pairs.
 
 Start-up is most of a run, so each command imports the layers it uses when
 it runs: `check` and `table` load none of the interval code, and `json` is
@@ -192,44 +193,40 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
-    from .quantum import _generated_theory, _incompatible_pairs
-    from .quantum_report import _axiom_lines, _axioms_json, _axioms_slot, _proposition_json
+    from .quantum import _axioms, _incompatible_pairs
+    from .quantum_report import _axiom_fields, _axiom_lines, _axioms_slot, _proposition_json
 
     decls = load_declarations(args.declarations)
     pairs = _incompatible_pairs(decls.propositions, decls.config)
+    bound = str(decls.config.bound)
     check = None
     if args.check is not None:
         f = parse(args.check)
-        theory = _generated_theory(pairs, decls.config).axioms
-        result = _run_query(f, theory, args.mode, args.atom_limit)
+        result = _run_query(f, _axioms(pairs), args.mode, args.atom_limit)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 
-    as_json = args.format == "json"
-    report: dict = {"command": "quantum", "bound": str(decls.config.bound)}
-    # Text prints no propositions or constraints, and axioms only on request;
-    # JSON writes its axioms into their empty list, one entry at a time.
-    if as_json:
-        report["propositions"] = [_proposition_json(p) for p in decls.propositions]
-        report["axioms"] = []
-        # As render prints Not(And(m, x)).
-        report["constraints"] = [f"!({m.atom} & {x.atom})" for m, x in pairs]
-    elif args.list_axioms:
-        report["axioms"] = _axioms_json(pairs, report["bound"])
-    if check is not None:
-        report["check"] = check
-
-    if as_json:
-        _print_json(report, _axioms_slot(pairs, report["bound"]))
+    if args.format == "json":
+        # The axioms are written into their empty list, one entry at a time.
+        report = {
+            "command": "quantum",
+            "bound": bound,
+            "propositions": [_proposition_json(p) for p in decls.propositions],
+            "axioms": [],
+            "constraints": [f"!({m.atom} & {x.atom})" for m, x in pairs],  # as render prints them
+        }
+        if check is not None:
+            report["check"] = check
+        _print_json(report, _axioms_slot(pairs, bound))
     else:
         lines = format_declarations(decls).splitlines() if args.echo else []
         if args.list_axioms:
-            lines.extend(_axiom_lines(report["axioms"]))
+            lines.extend(_axiom_lines(_axiom_fields(pairs), bound))
         if check is not None:
             lines.extend(_check_lines(check))
         # Atom names are unique, so every pair is one axiom and one constraint.
         summary = (
             f"{len(decls.propositions)} propositions, {len(pairs)} axioms, "
-            f"{len(pairs)} constraints, bound {report['bound']}"
+            f"{len(pairs)} constraints, bound {bound}"
         )
         _print("\n".join(lines or [summary]))
     return EXIT_OK if check is None or result.holds else EXIT_NEGATIVE

@@ -11,6 +11,11 @@ All arithmetic is exact: widths, products, and the bound are
 to rounding.  The pair search compares cross-multiplied integers instead of
 fractions, and scans the positions once per distinct momentum width, so a
 listing costs about what its output does.
+
+Every output is built from the pairs `_incompatible_pairs` returns: the
+axioms by `_axioms`, the constraints by `_constraints`, and the listings,
+as text, by `quantum_report`.  A proposition's `Var` is built once, when
+the proposition is, and every node of its axioms and constraints shares it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from ._record import Record
 from .classical import ConstraintSet
 from .epistemic import Theory
 from .errors import DisjointIntervals, DuplicateAtom, KindMismatch
-from .syntax import And, Formula, Implies, Know, Not, Var
+from .syntax import And, Implies, Know, Not, Var
 
 class ObservableKind(Enum):
     POSITION = "position"
@@ -32,8 +37,9 @@ class ObservableKind(Enum):
 class IntervalProposition(Record):
     """An atom asserting that an observable lies in [lo, hi] (natural units).
 
-    `width`, hi - lo, is computed once, when the proposition is built; it is
-    an attribute, not a field, so it takes no part in equality or the repr.
+    `var`, the atom's `Var`, and `width`, hi - lo, are computed once, when
+    the proposition is built; they are attributes, not fields, so they take
+    no part in equality, hashing, the repr or pickling.
     """
 
     atom: str
@@ -42,18 +48,14 @@ class IntervalProposition(Record):
     hi: Fraction
 
     def __post_init__(self):
-        Var(self.atom)  # refuses an invalid name
+        var = Var(self.atom)  # refuses an invalid name
         lo = self.lo if type(self.lo) is Fraction else Fraction(self.lo)
         hi = self.hi if type(self.hi) is Fraction else Fraction(self.hi)
         width = hi - lo
         if not width.numerator > 0:
             raise ValueError(f"interval must have positive width, got [{lo}, {hi}]")
-        for name, value in (("lo", lo), ("hi", hi), ("width", width)):
+        for name, value in (("var", var), ("lo", lo), ("hi", hi), ("width", width)):
             object.__setattr__(self, name, value)
-
-    @property
-    def var(self) -> Var:
-        return Var(self.atom)
 
 
 class PhysicsConfig(Record):
@@ -156,36 +158,19 @@ def _incompatible_pairs(
     return pairs
 
 
-def _sides(
-    pairs: list[tuple[IntervalProposition, IntervalProposition]],
-) -> dict[int, tuple[Var, Formula, Fraction]]:
-    """Per proposition of `pairs`, keyed by `id`: its Var, its side of the
-    axiom (K(m) for a momentum, !K(x) for a position) and its width, built
-    once and shared by every pair it is in."""
-    sides = {}
-    for p in {id(p): p for pair in pairs for p in pair}.values():
-        v = p.var
-        side = Know(v) if p.kind is ObservableKind.MOMENTUM else Not(Know(v))
-        sides[id(p)] = v, side, p.width
-    return sides
+def _axioms(pairs: list[tuple[IntervalProposition, IntervalProposition]]) -> Theory:
+    """K(m) -> !K(x) per pair, in order.  Each proposition's side, K(m) or
+    !K(x), is built once and shared by every axiom it is in."""
+    sides = {
+        id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
+        for p in {id(p): p for pair in pairs for p in pair}.values()
+    }
+    return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in pairs]))
 
 
-def _generated_theory(
-    pairs: list[tuple[IntervalProposition, IntervalProposition]], cfg: PhysicsConfig
-) -> GeneratedTheory:
-    """The axioms, constraints and provenance of `pairs`, in their order."""
-    sides = _sides(pairs)
-    axioms: list[Formula] = []
-    constraints: list[Formula] = []
-    provenance: list[AxiomProvenance] = []
-    for m, x in pairs:
-        (m_var, knows_m, m_width), (x_var, not_knows_x, x_width) = sides[id(m)], sides[id(x)]
-        axioms.append(Implies(knows_m, not_knows_x))
-        constraints.append(Not(And(m_var, x_var)))
-        provenance.append(AxiomProvenance(m, x, m_width * x_width, cfg.bound))
-    return GeneratedTheory(
-        Theory(tuple(axioms)), ConstraintSet(tuple(constraints)), tuple(provenance)
-    )
+def _constraints(pairs: list[tuple[IntervalProposition, IntervalProposition]]) -> ConstraintSet:
+    """!(m & x) per pair, in order."""
+    return ConstraintSet(tuple([Not(And(m.var, x.var)) for m, x in pairs]))
 
 
 def generate(
@@ -193,8 +178,7 @@ def generate(
     cfg: PhysicsConfig = PhysicsConfig(),
 ) -> GeneratedTheory:
     """One axiom K(m) -> !K(x) and one constraint !(m & x) per incompatible
-    momentum/position pair, in declaration order; nothing else.
-
-    Only a theory or constraints need these formula nodes: the `quantum`
-    command's listings and JSON are rendered from the pairs alone."""
-    return _generated_theory(_incompatible_pairs(props, cfg), cfg)
+    momentum/position pair, in declaration order; nothing else."""
+    pairs = _incompatible_pairs(props, cfg)
+    provenance = tuple([AxiomProvenance(m, x, m.width * x.width, cfg.bound) for m, x in pairs])
+    return GeneratedTheory(_axioms(pairs), _constraints(pairs), provenance)

@@ -4,19 +4,19 @@ generated axioms, and the built-in worked example.
 These need the interval and uncertainty code (`quantum`, `fractions`), so
 `check` and `table` never load this module.
 
-Axiom listings are rendered from the incompatible (momentum, position)
-pairs that `quantum._incompatible_pairs` finds, not from formula nodes.
-Nodes are built, from the same pairs, only where a theory or constraints
-are used: `quantum --check` and the demo's queries and table.  A listing
-renders each proposition's side and width once and each product once per
-distinct pair of widths; in JSON its entries are written one at a time,
-each from one template (`_axioms_slot`), so `json` is loaded only there.
+Everything a listing prints is written from the incompatible (momentum,
+position) pairs that `quantum._incompatible_pairs` finds, as text, by
+`_axiom_fields`: no formula node and no per-axiom dict is built for it.
+Text lines are formatted straight from those fields, and JSON entries are
+written one at a time, each filling one template (`_axioms_slot`), so
+`json` is loaded only there.  The demo's report holds its axioms as dicts,
+and its text is rendered from them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .classical import TruthTable, is_tautology, truth_table
 from .cli import _check_json, _query_lines
@@ -25,9 +25,10 @@ from .quantum import (
     IntervalProposition,
     ObservableKind,
     PhysicsConfig,
-    _generated_theory,
+    _axioms,
+    _constraints,
     _incompatible_pairs,
-    _sides,
+    compatible,
     merge,
     uncertainty_product,
 )
@@ -39,19 +40,19 @@ def _axiom_fields(
     pairs: list[tuple[IntervalProposition, IntervalProposition]],
 ) -> Iterator[tuple[str, str, str, str, str, str]]:
     """Per incompatible pair, in order: its formula, momentum, position,
-    widths and product, as text.  No axiom node is built: each proposition's
-    K(m) or !K(x) and its width are turned into text once, and each product
-    once per distinct pair of width texts."""
-    text = {key: (render(side), w, str(w)) for key, (_, side, w) in _sides(pairs).items()}
+    widths and product, as text.  The formula is written from the atom
+    names, as render prints K(m) -> !K(x); each width is turned into text
+    once per proposition, and each product once per distinct pair of width
+    texts."""
+    props = {id(p): p for pair in pairs for p in pair}
+    widths = {key: (p.width, str(p.width)) for key, p in props.items()}
     products: dict[tuple[str, str], str] = {}
     for m, x in pairs:
-        knows_m, m_width, m_text = text[id(m)]
-        not_knows_x, x_width, x_text = text[id(x)]
+        (m_width, m_text), (x_width, x_text) = widths[id(m)], widths[id(x)]
         key = m_text, x_text
         if key not in products:
             products[key] = str(m_width * x_width)
-        # K(m) -> !K(x): neither side is parenthesized.
-        yield f"{knows_m} -> {not_knows_x}", m.atom, x.atom, m_text, x_text, products[key]
+        yield f"K({m.atom}) -> !K({x.atom})", m.atom, x.atom, m_text, x_text, products[key]
 
 
 def _axiom_json(
@@ -67,10 +68,10 @@ def _axiom_json(
     }
 
 
-def _axioms_json(pairs: list[tuple[IntervalProposition, IntervalProposition]], bound: str) -> list[dict]:
-    """One entry per incompatible pair, each generated under the bound whose
-    text is `bound`."""
-    return [_axiom_json(*fields, bound) for fields in _axiom_fields(pairs)]
+def _entry_fields(entry: dict) -> tuple[str, str, str, str, str, str]:
+    """The fields of one report entry written by _axiom_json, in
+    _axiom_fields' order."""
+    return entry["formula"], entry["momentum"], entry["position"], *entry["widths"], entry["product"]
 
 
 def _axioms_slot(
@@ -78,10 +79,10 @@ def _axioms_slot(
 ) -> tuple[str, Callable[[str], Iterator[str]]]:
     """The `axioms` slot of a `quantum` report for cli._print_json: given
     the line break and indentation of the key's line, the chunks that
-    json.dumps(..., indent=2) prints for _axioms_json(pairs, bound), one
-    entry per chunk.  Every entry fills one template, json.dumps of a
-    placeholder entry, with its strings encoded as json.dumps encodes
-    them."""
+    json.dumps(..., indent=2) prints for the list of _axiom_json(*fields,
+    bound) over _axiom_fields(pairs), one entry per chunk.  Every entry
+    fills one template, json.dumps of a placeholder entry, with its strings
+    encoded as json.dumps encodes them."""
 
     def items(indent: str) -> Iterator[str]:
         import json
@@ -108,13 +109,13 @@ def _proposition_json(p: IntervalProposition) -> dict:
     }
 
 
-def _axiom_lines(axioms: list[dict]) -> list[str]:
-    if not axioms:
-        return ["no axioms generated"]
-    return [
-        f"{a['formula']}   [widths {' * '.join(a['widths'])} = {a['product']} < {a['bound']}]"
-        for a in axioms
+def _axiom_lines(fields: Iterable[tuple[str, ...]], bound: str) -> list[str]:
+    """One line per axiom, from _axiom_fields or _entry_fields."""
+    lines = [
+        f"{formula}   [widths {m_width} * {x_width} = {product} < {bound}]"
+        for formula, _, _, m_width, x_width, product in fields
     ]
+    return lines or ["no axioms generated"]
 
 
 def _proposition_line(p: dict) -> str:
@@ -122,11 +123,10 @@ def _proposition_line(p: dict) -> str:
     return f"{p['atom']}: {p['kind']} in [{lo}, {hi}]  (width {p['width']})"
 
 
-def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, bound: Fraction) -> str:
+def _product_line(m: IntervalProposition, x: IntervalProposition, label: str, cfg: PhysicsConfig) -> str:
+    rel, verdict = (">=", "compatible") if compatible(m, x, cfg) else ("<", "incompatible")
     product = uncertainty_product(m, x)
-    # compatible iff the product meets the bound, as quantum.compatible decides
-    rel, verdict = (">=", "compatible") if product >= bound else ("<", "incompatible")
-    return f"{m.atom} with {label}: {m.width} * {x.width} = {product} {rel} {bound}: {verdict}"
+    return f"{m.atom} with {label}: {m.width} * {x.width} = {product} {rel} {cfg.bound}: {verdict}"
 
 
 def _demo_report() -> tuple[dict, TruthTable]:
@@ -136,11 +136,10 @@ def _demo_report() -> tuple[dict, TruthTable]:
     r = IntervalProposition("r", ObservableKind.POSITION, Fraction(1), Fraction(3))
     s = merge(q, r, "s")
     config = PhysicsConfig()
-    bound = config.bound
+    bound = str(config.bound)
     pairs = _incompatible_pairs((p, q, r), config)
-    gen = _generated_theory(pairs, config)
     distributivity = parse("p & (q | r) <-> (p & q) | (p & r)")
-    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), gen.constraints)
+    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), _constraints(pairs))
 
     def query(text: str, decide: Callable[..., CheckResult], theory: Theory) -> dict:
         f = parse(text)
@@ -150,11 +149,11 @@ def _demo_report() -> tuple[dict, TruthTable]:
         "command": "demo",
         "propositions": [_proposition_json(x) for x in (p, q, r)],
         "uncertainty": {
-            "bound": str(bound),
+            "bound": bound,
             "products": [
-                _product_line(p, s, f"the full position range [{s.lo}, {s.hi}]", bound),
-                _product_line(p, q, q.atom, bound),
-                _product_line(p, r, r.atom, bound),
+                _product_line(p, s, f"the full position range [{s.lo}, {s.hi}]", config),
+                _product_line(p, q, q.atom, config),
+                _product_line(p, r, r.atom, config),
             ],
         },
         "classical_distributivity": {
@@ -162,8 +161,8 @@ def _demo_report() -> tuple[dict, TruthTable]:
             "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
         },
         "table": _table_json(table),
-        "axioms": _axioms_json(pairs, str(bound)),
-        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, gen.axioms),
+        "axioms": [_axiom_json(*fields, bound) for fields in _axiom_fields(pairs)],
+        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, _axioms(pairs)),
         "k_distribution": {
             "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),
             "disjunction_distribution": query("K(a | b) -> K(a) | K(b)", is_valid, Theory()),
@@ -196,7 +195,10 @@ def _demo_lines(report: dict, table: TruthTable) -> list[str]:
             "(4) truth table under the physical constraints",
             "".join(_table_text(table, "text")).splitlines(),
         ),
-        ("(5) generated axioms", indent(_axiom_lines(report["axioms"]))),
+        (
+            "(5) generated axioms",
+            indent(_axiom_lines(map(_entry_fields, report["axioms"]), report["uncertainty"]["bound"])),
+        ),
         ("(6) joint knowledge under the axioms", indent(_query_lines(report["joint_knowledge"]))),
         (
             "(7) how K distributes",

@@ -28,7 +28,8 @@ from klogic.cli import (
     main,
 )
 from klogic.declarations import MAX_RATIONAL_DIGITS
-from klogic.quantum_report import _axiom_lines, _demo_lines, _demo_report
+from klogic import quantum_report
+from klogic.quantum_report import _axiom_lines, _demo_lines, _demo_report, _entry_fields
 from klogic.tables import _rows_slot, _table_json, _table_text
 from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
 
@@ -648,6 +649,17 @@ def test_quantum_matches_golden_files(capsys, flags, golden):
     assert out == (DATA / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_combined_quantum_flags_match_golden_files(capsys, fmt):
+    """Echo, then axioms, then the check, whose negative answer exits 1."""
+    flags = ["--echo", "--list-axioms", "--check", "K(p) & (K(q) | K(r))", "--mode", "sat"]
+    if fmt == "json":
+        flags += ["--format", "json"]
+    code, out, err = run_cli(capsys, "quantum", str(DATA / "demo.decl"), *flags)
+    assert (code, err) == (EXIT_NEGATIVE, "")
+    assert out == (DATA / f"quantum_check.golden.{fmt}").read_text(encoding="utf-8")
+
+
 _NO_AXIOMS_DECL = "atom p momentum [0, 1]\natom q position [0, 1]\n"
 _ONE_AXIOM_DECL = "atom p momentum [0, 1/6]\natom q position [-1, 1]\n"
 # Five momenta and four positions in mixed order, two momenta of one width:
@@ -885,7 +897,22 @@ def test_quantum_text_is_rendered_from_the_json_report(capsys, tmp_path, demo_de
         code, text, _ = run_cli(capsys, "quantum", decl, *flags)
         json_code, out, _ = run_cli(capsys, "quantum", decl, *flags, "--format", "json")
         assert code == json_code
-        assert "\n".join(renderer(json.loads(out)[section])) + "\n" == text
+        report = json.loads(out)
+        if section == "axioms":
+            lines = renderer(map(_entry_fields, report[section]), report["bound"])
+        else:
+            lines = renderer(report[section])
+        assert "\n".join(lines) + "\n" == text
+
+
+def test_a_text_listing_builds_no_json_axiom_entry(capsys, monkeypatch):
+    def refuse(*fields):
+        raise AssertionError("a text listing built a JSON axiom entry")
+
+    monkeypatch.setattr(quantum_report, "_axiom_json", refuse)
+    code, out, _ = run_cli(capsys, "quantum", str(DATA / "quantum.decl"), "--echo", "--list-axioms")
+    assert code == EXIT_OK
+    assert out == (DATA / "quantum.golden.txt").read_text(encoding="utf-8")
 
 
 def test_demo_text_is_rendered_from_the_json_report(capsys):

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -70,6 +71,41 @@ def test_interval_validation():
         IntervalProposition("p", MOM, Fraction(2), Fraction(1))
     with pytest.raises(ValueError, match=r"^invalid atom name: 'And'$"):
         IntervalProposition("And", MOM, Fraction(0), Fraction(1))
+
+
+def test_an_invalid_atom_name_is_refused_with_vars_message():
+    for name in ("and", "Bad", "_x", "1p", "\u00e9", ""):
+        with pytest.raises(ValueError) as e:
+            IntervalProposition(name, POS, Fraction(0), Fraction(1))
+        assert str(e.value) == f"invalid atom name: {name!r}", name
+
+
+def test_var_is_an_attribute_not_a_field():
+    p, twin = _p(), _p()
+    assert p.var == Var("p") and p.var is not twin.var
+    assert IntervalProposition.__match_args__ == ("atom", "kind", "lo", "hi")
+    assert p == twin and hash(p) == hash(twin)
+    assert repr(p) == (
+        "IntervalProposition(atom='p', kind=<ObservableKind.MOMENTUM: 'momentum'>, "
+        "lo=Fraction(0, 1), hi=Fraction(1, 6))"
+    )
+    assert p.__reduce__() == (IntervalProposition, ("p", MOM, Fraction(0), Fraction(1, 6)))
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and copy.var == p.var and copy.var is not p.var
+    with pytest.raises(AttributeError):
+        p.var = Var("q")  # type: ignore[misc]
+
+
+def test_generate_shares_each_propositions_var():
+    """The Var a proposition keeps is the node in every axiom and constraint
+    it is in, and each side K(m) or !K(x) is one node per proposition."""
+    p, q, r = _p(), _q(), _r()
+    gen = generate((p, q, r))
+    (pq, pr), (not_pq, not_pr) = gen.axioms.axioms, gen.constraints
+    assert pq.left is pr.left and pq.left.operand is p.var
+    assert pq.right.operand.operand is q.var and pr.right.operand.operand is r.var
+    assert not_pq.operand.left is p.var and not_pq.operand.right is q.var
+    assert not_pr.operand.left is p.var and not_pr.operand.right is r.var
 
 
 def test_physics_config_default_and_validation():
