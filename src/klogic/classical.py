@@ -225,17 +225,24 @@ def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
             )
 
 
+def _table_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
+    """The names sorted, or the classical atom limit's refusal; callers ask
+    it before they build the formulas the names come from."""
+    n = len(names)
+    if n > atom_limit:
+        raise AtomLimitExceeded(
+            f"{n} atoms would enumerate 2^{n} valuations; "
+            f"the limit is {atom_limit} (raise it explicitly to proceed)"
+        )
+    return tuple(sorted(names))
+
+
 def _prepare(
     formulas: Sequence[Formula], constraints: ConstraintSet, atom_limit: int
 ) -> tuple[tuple[str, ...], int, dict[str, int]]:
-    """The sorted atoms of a K-free query, its full column and atom columns."""
+    """The sorted atoms of a K-free query (see `_table_atoms`), its full and atom columns."""
     _require_k_free(formulas)
-    order = tuple(sorted(constraints.atom_names().union(*map(atoms, formulas))))
-    if len(order) > atom_limit:
-        raise AtomLimitExceeded(
-            f"{len(order)} atoms would enumerate 2^{len(order)} valuations; "
-            f"the limit is {atom_limit} (raise it explicitly to proceed)"
-        )
+    order = _table_atoms(constraints.atom_names().union(*map(atoms, formulas)), atom_limit)
     return (order, *_columns(order))
 
 

@@ -11,9 +11,9 @@ Identical invocations produce byte-identical output; the engine's
 canonical enumeration order makes every reported model reproducible.
 
 Each command has one report, the dict that `--format json` prints.  The
-text of `check` and `demo` is rendered from that dict and shows part of
-it; `table` and `quantum` write their text from the data their report is
-built from, a `TruthTable` and the incompatible pairs.
+text of `check` and `demo` is rendered from it; `table` and `quantum` write
+theirs from the data it is built from: a `TruthTable`, and the incompatible
+pairs, whose atoms meet the atom limit before any axiom or constraint is built.
 
 Start-up is most of a run, so each command imports the layers it uses when
 it runs: `check` and `table` load none of the interval code, and `json` is
@@ -35,10 +35,11 @@ from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     ConstraintSet,
     _require_k_free,
+    _table_atoms,
     truth_table,
 )
 from .errors import LogicError
-from .syntax import Formula, parse, render
+from .syntax import Formula, atoms, parse, render
 
 if TYPE_CHECKING:
     from .epistemic import CheckResult, EpistemicModel, Theory
@@ -175,10 +176,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         constraints = load_constraints(args.constraints)
     elif args.quantum:
         from .declarations import load_declarations
-        from .quantum import generate
+        from .quantum import _constraints, _incompatible_pairs
 
         decls = load_declarations(args.quantum)
-        constraints = generate(decls.propositions, decls.config).constraints
+        pairs = _incompatible_pairs(decls.propositions, decls.config)
+        names = {p.atom for pair in pairs for p in pair}.union(*map(atoms, formulas))
+        _table_atoms(names, args.atom_limit)
+        constraints = _constraints(pairs)
     else:
         constraints = ConstraintSet()
     table = truth_table(formulas, constraints, atom_limit=args.atom_limit)
@@ -193,6 +197,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
+    from .epistemic import _search_atoms
     from .quantum import _axioms, _incompatible_pairs
     from .quantum_report import _axiom_fields, _axiom_lines, _axioms_slot, _proposition_json
 
@@ -202,6 +207,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     check = None
     if args.check is not None:
         f = parse(args.check)
+        _search_atoms({p.atom for pair in pairs for p in pair}.union(atoms(f)), args.atom_limit)
         result = _run_query(f, _axioms(pairs), args.mode, args.atom_limit)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 

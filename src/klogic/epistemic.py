@@ -156,16 +156,17 @@ def _first_model(
     return None
 
 
-def _combined_atoms(f: Formula, theory: Theory, atom_limit: int) -> tuple[str, ...]:
-    names = tuple(sorted(set(atoms(f)) | theory.atom_names()))
-    if len(names) > atom_limit:
-        n = len(names)
+def _search_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
+    """The names sorted, or the modal limit's refusal, its cell count never in decimal;
+    callers ask it before they build the formulas the names come from."""
+    n = len(names)
+    if n > atom_limit:
         raise AtomLimitExceeded(
-            f"{n} atoms gives 2^{1 << n} candidate cells (the search space grows "
+            f"{n} atoms gives 2^(2^{n}) candidate cells (the search space grows "
             f"as 2^(2^n)); the modal atom limit is {atom_limit} "
             f"(raise it explicitly to accept the cost)"
         )
-    return names
+    return tuple(sorted(names))
 
 
 def is_satisfiable(
@@ -175,7 +176,7 @@ def is_satisfiable(
 ) -> CheckResult:
     """Is there a canonical model of the theory where f holds at the
     designated world?  Returns the first such model in enumeration order."""
-    names = _combined_atoms(f, theory, atom_limit)
+    names = _search_atoms(theory.atom_names().union(atoms(f)), atom_limit)
     model = _first_model(f, theory, names)
     if model is None:
         return CheckResult(Verdict.UNSATISFIABLE)

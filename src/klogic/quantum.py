@@ -13,9 +13,9 @@ fractions, and scans the positions once per distinct momentum width, so a
 listing costs about what its output does.
 
 Every output is built from the pairs `_incompatible_pairs` returns: the
-axioms by `_axioms`, the constraints by `_constraints`, and the listings,
-as text, by `quantum_report`.  A proposition's `Var` is built once, when
-the proposition is, and every node of its axioms and constraints shares it.
+axioms by `_axioms`, the constraints by `_constraints` (`generate` is both,
+for the library), the listings' text by `quantum_report`.  A proposition's
+`Var` is built once, and every node of its axioms and constraints shares it.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
-from klogic.classical import TruthTable
+from klogic.classical import TruthTable, truth_table
+from klogic.epistemic import is_valid
 from klogic.cli import (
     EXIT_ERROR,
     EXIT_NEGATIVE,
@@ -27,11 +28,12 @@ from klogic.cli import (
     build_parser,
     main,
 )
-from klogic.declarations import MAX_RATIONAL_DIGITS
-from klogic import quantum_report
+from klogic.declarations import MAX_RATIONAL_DIGITS, load_declarations
+from klogic import quantum, quantum_report
+from klogic.errors import AtomLimitExceeded
 from klogic.quantum_report import _axiom_lines, _demo_lines, _demo_report, _entry_fields
 from klogic.tables import _rows_slot, _table_json, _table_text
-from klogic.syntax import MAX_FORMULA_DEPTH, Var, render
+from klogic.syntax import MAX_FORMULA_DEPTH, Var, parse, render
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "demo.golden.txt"
@@ -98,6 +100,73 @@ def test_atom_limit_error_explains_cost(capsys):
     code, _, err = run_cli(capsys, "check", "K(a) & K(b) & K(c) & K(d) & K(e)")
     assert code == EXIT_ERROR
     assert "2^(2^n)" in err
+
+
+def test_a_refusal_over_thousands_of_atoms_exits_two_without_a_traceback(tmp_path):
+    theory = tmp_path / "wide.thy"
+    theory.write_text("".join(f"b{i}\n" for i in range(15000)), encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "klogic", "check", "a", "--theory", str(theory)],
+        capture_output=True, text=True, check=False,
+    )
+    assert (result.returncode, result.stdout) == (EXIT_ERROR, "")
+    assert result.stderr == (
+        "error: 15001 atoms gives 2^(2^15001) candidate cells (the search space grows as "
+        "2^(2^n)); the modal atom limit is 4 (raise it explicitly to accept the cost)\n"
+    )
+
+
+_NARROW = (("m", "momentum"), ("x", "position"))
+
+
+def _narrow_decl(tmp_path, n: int) -> str:
+    """n momenta and n positions, every momentum incompatible with every position."""
+    path = tmp_path / f"narrow{n}.decl"
+    lines = [f"atom {a}{i} {kind} [0, 1/100]\n" for i in range(n) for a, kind in _NARROW]
+    path.write_text("".join(lines), encoding="utf-8")
+    return str(path)
+
+
+def _refuse(*args):
+    raise AssertionError("the command called a function it must not call")
+
+
+@pytest.mark.parametrize(
+    "n, argv, error",
+    [
+        (
+            3,
+            ("quantum", "DECL", "--check", "K(m0)"),
+            "6 atoms gives 2^(2^6) candidate cells (the search space grows as 2^(2^n)); "
+            "the modal atom limit is 4 (raise it explicitly to accept the cost)",
+        ),
+        (
+            9,
+            ("table", "m0 & x0", "--quantum", "DECL"),
+            "18 atoms would enumerate 2^18 valuations; "
+            "the limit is 16 (raise it explicitly to proceed)",
+        ),
+    ],
+    ids=["quantum-check", "table-quantum"],
+)
+def test_over_limit_quantum_commands_build_no_axiom_or_constraint(
+    capsys, monkeypatch, tmp_path, n, argv, error
+):
+    """The atom limit is asked of the pairs' atom names before any node is
+    built, and its message is the engine's own."""
+    decl = _narrow_decl(tmp_path, n)
+    decls = load_declarations(decl)
+    generated = quantum.generate(decls.propositions, decls.config)
+    with pytest.raises(AtomLimitExceeded) as engine:
+        if argv[0] == "quantum":
+            is_valid(parse(argv[3]), generated.axioms)
+        else:
+            truth_table([parse(argv[1])], generated.constraints)
+    assert str(engine.value) == error
+    monkeypatch.setattr(quantum, "_axioms", _refuse)
+    monkeypatch.setattr(quantum, "_constraints", _refuse)
+    code, out, err = run_cli(capsys, *[decl if a == "DECL" else a for a in argv])
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize(
@@ -299,6 +368,18 @@ def test_table_formats_match_golden_files(capsys, demo_decl, fmt):
     )
     assert code == EXIT_OK
     assert out == (DATA / f"table.golden.{fmt}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+def test_table_quantum_never_calls_generate(capsys, monkeypatch, demo_decl, fmt, golden):
+    """`table --quantum` goes from the pairs to the constraints, as `quantum` does."""
+    monkeypatch.setattr(quantum, "generate", _refuse)
+    code, out, _ = run_cli(
+        capsys, "table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", demo_decl,
+        "--format", fmt,
+    )
+    assert code == EXIT_OK
+    assert out == (DATA / f"table.golden.{golden}").read_text(encoding="utf-8")
 
 
 def test_table_output_never_builds_rows(capsys, monkeypatch, demo_decl):

@@ -208,6 +208,15 @@ def test_atom_limit_counts_formula_and_theory_atoms_together():
         is_valid(f, theory)
 
 
+def test_a_refusal_over_thousands_of_atoms_writes_no_power_in_decimal():
+    """2^(2^15001) has far more digits than Python converts an int to."""
+    theory = Theory(tuple(Var(f"b{i}") for i in range(15000)))
+    with pytest.raises(AtomLimitExceeded) as exc:
+        is_satisfiable(Var("a"), theory)
+    assert str(exc.value).startswith("15001 atoms gives 2^(2^15001) candidate cells")
+    assert "(the search space grows as 2^(2^n))" in str(exc.value)
+
+
 def test_atom_limit_override_admits_wider_k_free_queries():
     f = parse("a & b & c & d & e")
     with pytest.raises(AtomLimitExceeded):
