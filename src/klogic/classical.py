@@ -8,8 +8,8 @@ results are reproducible bit for bit.
 Formulas are evaluated as columns: a column over n atoms is a 2^n-bit
 integer whose bit i is the formula's truth value at canonical valuation i.
 `_columns` builds the full column and one column per atom, and `_truth`
-combines them with the connectives.  A column costs 2^n bits, so columns
-are refused above MAX_COLUMN_ATOMS atoms whatever the atom limit.
+combines them with the connectives.  A column costs 2^n bits, so each atom
+limit also asks `_column_atoms`, which refuses more than MAX_COLUMN_ATOMS.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ class Valuation(Record):
 def valuation_at(names: Sequence[str], index: int) -> Valuation:
     """The index-th canonical valuation (first atom = most significant bit)."""
     n = len(names)
+    if not 0 <= index < 1 << n:
+        raise IndexError(f"valuation index {index} outside the 2^{n} valuations of {n} atoms")
     # The low n binary digits, zero-padded; no digit at all when n is 0.
     digits = format(index, f"0{n}b")
     return Valuation(tuple(names), tuple(map("1".__eq__, digits[len(digits) - n :])))
@@ -101,12 +103,6 @@ def _columns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
     Built by doubling: prefixing a more significant atom copies every column
     into the upper half, where the new atom is true.
     """
-    n = len(names)
-    if n > MAX_COLUMN_ATOMS:
-        raise AtomLimitExceeded(
-            f"{n} atoms would need truth columns of 2^{n} bits each; "
-            f"at most {MAX_COLUMN_ATOMS} atoms can be evaluated, whatever the atom limit"
-        )
     full, masks = 1, []
     for _ in names:
         width = full.bit_length()
@@ -225,16 +221,27 @@ def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
             )
 
 
+def _column_atoms(names: set[str]) -> tuple[str, ...]:
+    """The names sorted, or the column ceiling's refusal, whatever the atom limit."""
+    n = len(names)
+    if n > MAX_COLUMN_ATOMS:
+        raise AtomLimitExceeded(
+            f"{n} atoms would need truth columns of 2^{n} bits each; "
+            f"at most {MAX_COLUMN_ATOMS} atoms can be evaluated, whatever the atom limit"
+        )
+    return tuple(sorted(names))
+
+
 def _table_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
-    """The names sorted, or the classical atom limit's refusal; callers ask
-    it before they build the formulas the names come from."""
+    """The names sorted, or the classical atom limit's refusal, then the ceiling's;
+    callers ask it before they build the formulas the names come from."""
     n = len(names)
     if n > atom_limit:
         raise AtomLimitExceeded(
             f"{n} atoms would enumerate 2^{n} valuations; "
             f"the limit is {atom_limit} (raise it explicitly to proceed)"
         )
-    return tuple(sorted(names))
+    return _column_atoms(names)
 
 
 def _prepare(

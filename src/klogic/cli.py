@@ -12,8 +12,8 @@ canonical enumeration order makes every reported model reproducible.
 
 Each command has one report, the dict that `--format json` prints.  The
 text of `check` and `demo` is rendered from it; `table` and `quantum` write
-theirs from the data it is built from: a `TruthTable`, and the incompatible
-pairs, whose atoms meet the atom limit before any axiom or constraint is built.
+theirs from the data it is built from: a `TruthTable`, and `quantum.generate`'s
+pairs, whose atoms meet every limit before any axiom or constraint is built.
 
 Start-up is most of a run, so each command imports the layers it uses when
 it runs: `check` and `table` load none of the interval code, and `json` is
@@ -176,13 +176,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
         constraints = load_constraints(args.constraints)
     elif args.quantum:
         from .declarations import load_declarations
-        from .quantum import _constraints, _incompatible_pairs
+        from .quantum import generate
 
         decls = load_declarations(args.quantum)
-        pairs = _incompatible_pairs(decls.propositions, decls.config)
-        names = {p.atom for pair in pairs for p in pair}.union(*map(atoms, formulas))
-        _table_atoms(names, args.atom_limit)
-        constraints = _constraints(pairs)
+        generated = generate(decls.propositions, decls.config)
+        _table_atoms(generated.atom_names().union(*map(atoms, formulas)), args.atom_limit)
+        constraints = generated.constraints
     else:
         constraints = ConstraintSet()
     table = truth_table(formulas, constraints, atom_limit=args.atom_limit)
@@ -198,17 +197,17 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
     from .epistemic import _search_atoms
-    from .quantum import _axioms, _incompatible_pairs
+    from .quantum import generate
     from .quantum_report import _axiom_fields, _axiom_lines, _axioms_slot, _proposition_json
 
     decls = load_declarations(args.declarations)
-    pairs = _incompatible_pairs(decls.propositions, decls.config)
-    bound = str(decls.config.bound)
+    generated = generate(decls.propositions, decls.config)
+    pairs, bound = generated.pairs, str(decls.config.bound)
     check = None
     if args.check is not None:
         f = parse(args.check)
-        _search_atoms({p.atom for pair in pairs for p in pair}.union(atoms(f)), args.atom_limit)
-        result = _run_query(f, _axioms(pairs), args.mode, args.atom_limit)
+        _search_atoms(generated.atom_names().union(atoms(f)), args.atom_limit)
+        result = _run_query(f, generated.axioms, args.mode, args.atom_limit)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 
     if args.format == "json":

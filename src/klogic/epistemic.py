@@ -26,6 +26,7 @@ from .syntax import Bottom, Formula, Iff, Know, Not, Top, Var, atoms, modal_dept
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
+    _column_atoms,
     _columns,
     _first,
     _require_assigned,
@@ -157,8 +158,8 @@ def _first_model(
 
 
 def _search_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
-    """The names sorted, or the modal limit's refusal, its cell count never in decimal;
-    callers ask it before they build the formulas the names come from."""
+    """The names sorted, or the modal limit's refusal (no cell count in decimal), then
+    the ceiling's; callers ask it before they build the formulas the names come from."""
     n = len(names)
     if n > atom_limit:
         raise AtomLimitExceeded(
@@ -166,7 +167,7 @@ def _search_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
             f"as 2^(2^n)); the modal atom limit is {atom_limit} "
             f"(raise it explicitly to accept the cost)"
         )
-    return tuple(sorted(names))
+    return _column_atoms(names)
 
 
 def is_satisfiable(

@@ -12,16 +12,18 @@ to rounding.  The pair search compares cross-multiplied integers instead of
 fractions, and scans the positions once per distinct momentum width, so a
 listing costs about what its output does.
 
-Every output is built from the pairs `_incompatible_pairs` returns: the
-axioms by `_axioms`, the constraints by `_constraints` (`generate` is both,
-for the library), the listings' text by `quantum_report`.  A proposition's
-`Var` is built once, and every node of its axioms and constraints shares it.
+`generate` is the one route to formulas: its `GeneratedTheory` finds the
+pairs when built and its axioms, constraints and provenance on first read,
+so an atom limit is asked of the pairs' atoms before any node exists.  A
+proposition's `Var` is built once, and every node of its formulas shares it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable
 
 from ._record import Record
 from .classical import ConstraintSet
@@ -32,6 +34,13 @@ from .syntax import And, Implies, Know, Not, Var
 class ObservableKind(Enum):
     POSITION = "position"
     MOMENTUM = "momentum"
+
+
+def _exact(value, name: str) -> Fraction:
+    """`value` as a Fraction; a float is refused, as its value is binary."""
+    if isinstance(value, float):
+        raise TypeError(f"{name} must be exact, got the float {value!r} (use a Fraction)")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class IntervalProposition(Record):
@@ -49,8 +58,7 @@ class IntervalProposition(Record):
 
     def __post_init__(self):
         var = Var(self.atom)  # refuses an invalid name
-        lo = self.lo if type(self.lo) is Fraction else Fraction(self.lo)
-        hi = self.hi if type(self.hi) is Fraction else Fraction(self.hi)
+        lo, hi = _exact(self.lo, "lo"), _exact(self.hi, "hi")
         width = hi - lo
         if not width.numerator > 0:
             raise ValueError(f"interval must have positive width, got [{lo}, {hi}]")
@@ -64,7 +72,7 @@ class PhysicsConfig(Record):
     bound: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "bound", Fraction(self.bound))
+        object.__setattr__(self, "bound", _exact(self.bound, "bound"))
         if not self.bound > 0:
             raise ValueError(f"bound must be positive, got {self.bound}")
 
@@ -119,66 +127,61 @@ class AxiomProvenance(Record):
 
 
 class GeneratedTheory(Record):
-    axioms: Theory
-    constraints: ConstraintSet
-    provenance: tuple[AxiomProvenance, ...]
+    """Per incompatible (momentum, position) pair, in declaration order, one axiom
+    K(m) -> !K(x), one constraint !(m & x) and one provenance record.  `pairs`, found
+    when it is built, is an attribute, not a field; the rest is built on first read."""
 
+    propositions: tuple[IntervalProposition, ...]
+    config: PhysicsConfig = PhysicsConfig()
 
-def _incompatible_pairs(
-    props: list[IntervalProposition] | tuple[IntervalProposition, ...],
-    cfg: PhysicsConfig,
-) -> list[tuple[IntervalProposition, IntervalProposition]]:
-    """Every (momentum, position) pair whose width product falls below the
-    bound: momenta in declaration order, and each momentum's positions in
-    declaration order."""
-    seen: set[str] = set()
-    for p in props:
-        if p.atom in seen:
-            raise DuplicateAtom(f"atom '{p.atom}' declared more than once")
-        seen.add(p.atom)
-    bn, bd = cfg.bound.numerator, cfg.bound.denominator
-    positions = [
-        (x, x.width.numerator, x.width.denominator)
-        for x in props
-        if x.kind is ObservableKind.POSITION
-    ]
-    # Momenta of one width have the same positions; they are found once.
-    below: dict[tuple[int, int], list[IntervalProposition]] = {}
-    pairs = []
-    for m in props:
-        if m.kind is ObservableKind.MOMENTUM:
-            key = m.width.numerator, m.width.denominator
-            if key not in below:
-                # Widths are positive, so m.width * x.width < bound exactly
-                # when x.width < bound / m.width = tn / td, compared here as
-                # cross-multiplied integers.
-                tn, td = bn * key[1], bd * key[0]
-                below[key] = [x for x, n, d in positions if n * td < tn * d]
-            pairs += [(m, x) for x in below[key]]
-    return pairs
+    def __post_init__(self):
+        props, seen = tuple(self.propositions), set()
+        for p in props:
+            if p.atom in seen:
+                raise DuplicateAtom(f"atom '{p.atom}' declared more than once")
+            seen.add(p.atom)
+        bn, bd = self.config.bound.as_integer_ratio()
+        positions = [
+            (x, *x.width.as_integer_ratio()) for x in props if x.kind is ObservableKind.POSITION
+        ]
+        below: dict[tuple[int, int], list[IntervalProposition]] = {}
+        pairs = []
+        for m in props:
+            if m.kind is ObservableKind.MOMENTUM:
+                key = m.width.as_integer_ratio()
+                if key not in below:  # found once per momentum width
+                    # Widths are positive: m.width * x.width < bound exactly when
+                    # x.width < bound / m.width = tn / td, compared cross-multiplied.
+                    tn, td = bn * key[1], bd * key[0]
+                    below[key] = [x for x, n, d in positions if n * td < tn * d]
+                pairs += [(m, x) for x in below[key]]
+        object.__setattr__(self, "propositions", props)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
+    def atom_names(self) -> set[str]:
+        return {p.atom for pair in self.pairs for p in pair}
 
-def _axioms(pairs: list[tuple[IntervalProposition, IntervalProposition]]) -> Theory:
-    """K(m) -> !K(x) per pair, in order.  Each proposition's side, K(m) or
-    !K(x), is built once and shared by every axiom it is in."""
-    sides = {
-        id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
-        for p in {id(p): p for pair in pairs for p in pair}.values()
-    }
-    return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in pairs]))
+    @cached_property
+    def axioms(self) -> Theory:
+        """Each proposition's side, K(m) or !K(x), is one node in every axiom it is in."""
+        sides = {
+            id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
+            for p in self.propositions
+        }
+        return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in self.pairs]))
 
+    @cached_property
+    def constraints(self) -> ConstraintSet:
+        return ConstraintSet(tuple([Not(And(m.var, x.var)) for m, x in self.pairs]))
 
-def _constraints(pairs: list[tuple[IntervalProposition, IntervalProposition]]) -> ConstraintSet:
-    """!(m & x) per pair, in order."""
-    return ConstraintSet(tuple([Not(And(m.var, x.var)) for m, x in pairs]))
+    @cached_property
+    def provenance(self) -> tuple[AxiomProvenance, ...]:
+        bound = self.config.bound
+        return tuple([AxiomProvenance(m, x, m.width * x.width, bound) for m, x in self.pairs])
 
 
 def generate(
-    props: list[IntervalProposition] | tuple[IntervalProposition, ...],
-    cfg: PhysicsConfig = PhysicsConfig(),
+    props: Iterable[IntervalProposition], cfg: PhysicsConfig = PhysicsConfig()
 ) -> GeneratedTheory:
-    """One axiom K(m) -> !K(x) and one constraint !(m & x) per incompatible
-    momentum/position pair, in declaration order; nothing else."""
-    pairs = _incompatible_pairs(props, cfg)
-    provenance = tuple([AxiomProvenance(m, x, m.width * x.width, cfg.bound) for m, x in pairs])
-    return GeneratedTheory(_axioms(pairs), _constraints(pairs), provenance)
+    """The theory the propositions generate under `cfg`; see `GeneratedTheory`."""
+    return GeneratedTheory(props, cfg)

@@ -5,8 +5,8 @@ These need the interval and uncertainty code (`quantum`, `fractions`), so
 `check` and `table` never load this module.
 
 Everything a listing prints is written from the incompatible (momentum,
-position) pairs that `quantum._incompatible_pairs` finds, as text, by
-`_axiom_fields`: no formula node and no per-axiom dict is built for it.
+position) pairs of `quantum.generate`, as text, by `_axiom_fields`: no
+formula node and no per-axiom dict is built for it.
 Text lines are formatted straight from those fields, and JSON entries are
 written one at a time, each filling one template (`_axioms_slot`), so
 `json` is loaded only there.  The demo's report holds its axioms as dicts,
@@ -25,10 +25,8 @@ from .quantum import (
     IntervalProposition,
     ObservableKind,
     PhysicsConfig,
-    _axioms,
-    _constraints,
-    _incompatible_pairs,
     compatible,
+    generate,
     merge,
     uncertainty_product,
 )
@@ -37,7 +35,7 @@ from .tables import _table_json, _table_text
 
 
 def _axiom_fields(
-    pairs: list[tuple[IntervalProposition, IntervalProposition]],
+    pairs: tuple[tuple[IntervalProposition, IntervalProposition], ...],
 ) -> Iterator[tuple[str, str, str, str, str, str]]:
     """Per incompatible pair, in order: its formula, momentum, position,
     widths and product, as text.  The formula is written from the atom
@@ -75,7 +73,7 @@ def _entry_fields(entry: dict) -> tuple[str, str, str, str, str, str]:
 
 
 def _axioms_slot(
-    pairs: list[tuple[IntervalProposition, IntervalProposition]], bound: str
+    pairs: tuple[tuple[IntervalProposition, IntervalProposition], ...], bound: str
 ) -> tuple[str, Callable[[str], Iterator[str]]]:
     """The `axioms` slot of a `quantum` report for cli._print_json: given
     the line break and indentation of the key's line, the chunks that
@@ -137,9 +135,9 @@ def _demo_report() -> tuple[dict, TruthTable]:
     s = merge(q, r, "s")
     config = PhysicsConfig()
     bound = str(config.bound)
-    pairs = _incompatible_pairs((p, q, r), config)
+    generated = generate((p, q, r), config)
     distributivity = parse("p & (q | r) <-> (p & q) | (p & r)")
-    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), _constraints(pairs))
+    table = truth_table((parse("p & (q | r)"), parse("(p & q) | (p & r)")), generated.constraints)
 
     def query(text: str, decide: Callable[..., CheckResult], theory: Theory) -> dict:
         f = parse(text)
@@ -161,8 +159,8 @@ def _demo_report() -> tuple[dict, TruthTable]:
             "verdict": "TAUTOLOGY" if is_tautology(distributivity).holds else "NOT A TAUTOLOGY",
         },
         "table": _table_json(table),
-        "axioms": [_axiom_json(*fields, bound) for fields in _axiom_fields(pairs)],
-        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, _axioms(pairs)),
+        "axioms": [_axiom_json(*fields, bound) for fields in _axiom_fields(generated.pairs)],
+        "joint_knowledge": query("K(p) & (K(q) | K(r))", is_satisfiable, generated.axioms),
         "k_distribution": {
             "conjunction_law": query("K(a & b) <-> K(a) & K(b)", is_valid, Theory()),
             "disjunction_distribution": query("K(a | b) -> K(a) | K(b)", is_valid, Theory()),

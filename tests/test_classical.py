@@ -76,6 +76,18 @@ def test_canonical_order_first_atom_is_most_significant():
     assert valuation_at(names, 5).bits == (True, False, True)
 
 
+@pytest.mark.parametrize(
+    "names, index",
+    [(("a",), 5), (("a",), 2), (("a", "b"), -1), ((), 1)],
+)
+def test_valuation_at_refuses_an_index_outside_the_valuations(names, index):
+    n = len(names)
+    with pytest.raises(IndexError) as e:
+        valuation_at(names, index)
+    assert str(e.value) == f"valuation index {index} outside the 2^{n} valuations of {n} atoms"
+    assert valuation_at(names, (1 << n) - 1).bits == (True,) * n
+
+
 def test_eval_classical_basics():
     v = Valuation(("p", "q"), (True, False))
     assert eval_classical(parse("p & !q"), v) is True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import io
@@ -131,6 +132,12 @@ def _refuse(*args):
     raise AssertionError("the command called a function it must not call")
 
 
+_CEILING = (
+    "26 atoms would need truth columns of 2^26 bits each; "
+    "at most 24 atoms can be evaluated, whatever the atom limit"
+)
+
+
 @pytest.mark.parametrize(
     "n, argv, error",
     [
@@ -146,25 +153,29 @@ def _refuse(*args):
             "18 atoms would enumerate 2^18 valuations; "
             "the limit is 16 (raise it explicitly to proceed)",
         ),
+        (13, ("quantum", "DECL", "--check", "K(m0)", "--atom-limit", "30"), _CEILING),
+        (13, ("table", "m0 & x0", "--quantum", "DECL", "--atom-limit", "30"), _CEILING),
     ],
-    ids=["quantum-check", "table-quantum"],
+    ids=["quantum-check", "table-quantum", "quantum-check-ceiling", "table-quantum-ceiling"],
 )
 def test_over_limit_quantum_commands_build_no_axiom_or_constraint(
     capsys, monkeypatch, tmp_path, n, argv, error
 ):
-    """The atom limit is asked of the pairs' atom names before any node is
-    built, and its message is the engine's own."""
+    """The atom limit, and past a raised limit the column ceiling, are asked
+    of the pairs' atom names before any node is built, and the message is
+    the engine's own."""
     decl = _narrow_decl(tmp_path, n)
     decls = load_declarations(decl)
     generated = quantum.generate(decls.propositions, decls.config)
+    limit = {"atom_limit": int(argv[-1])} if "--atom-limit" in argv else {}
     with pytest.raises(AtomLimitExceeded) as engine:
         if argv[0] == "quantum":
-            is_valid(parse(argv[3]), generated.axioms)
+            is_valid(parse(argv[3]), generated.axioms, **limit)
         else:
-            truth_table([parse(argv[1])], generated.constraints)
+            truth_table([parse(argv[1])], generated.constraints, **limit)
     assert str(engine.value) == error
-    monkeypatch.setattr(quantum, "_axioms", _refuse)
-    monkeypatch.setattr(quantum, "_constraints", _refuse)
+    monkeypatch.setattr(quantum.GeneratedTheory, "axioms", property(_refuse))
+    monkeypatch.setattr(quantum.GeneratedTheory, "constraints", property(_refuse))
     code, out, err = run_cli(capsys, *[decl if a == "DECL" else a for a in argv])
     assert (code, out, err) == (EXIT_ERROR, "", f"error: {error}\n")
 
@@ -371,15 +382,55 @@ def test_table_formats_match_golden_files(capsys, demo_decl, fmt):
 
 
 @pytest.mark.parametrize("fmt, golden", [("text", "txt"), ("csv", "csv"), ("json", "json")])
-def test_table_quantum_never_calls_generate(capsys, monkeypatch, demo_decl, fmt, golden):
-    """`table --quantum` goes from the pairs to the constraints, as `quantum` does."""
-    monkeypatch.setattr(quantum, "generate", _refuse)
+def test_table_quantum_builds_no_axiom_or_provenance(capsys, monkeypatch, demo_decl, fmt, golden):
+    """`table --quantum` reads only the constraints of the generated theory."""
+    monkeypatch.setattr(quantum.GeneratedTheory, "axioms", property(_refuse))
+    monkeypatch.setattr(quantum, "AxiomProvenance", _refuse)
     code, out, _ = run_cli(
         capsys, "table", "p & (q | r)", "(p & q) | (p & r)", "--quantum", demo_decl,
         "--format", fmt,
     )
     assert code == EXIT_OK
     assert out == (DATA / f"table.golden.{golden}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("quantum", "DECL", "--echo", "--list-axioms"),
+        ("quantum", "DECL", "--check", "K(p) & (K(q) | K(r))", "--mode", "sat"),
+        ("table", "p & (q | r)", "--quantum", "DECL"),
+        ("demo",),
+    ],
+    ids=["quantum", "quantum-check", "table-quantum", "demo"],
+)
+def test_each_quantum_command_calls_generate_once(capsys, monkeypatch, demo_decl, argv):
+    """`quantum.generate` is the one route from declarations to formulas."""
+    calls = []
+    original = quantum.generate
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):  # every klogic module that bound the name
+        if name.startswith("klogic") and vars(module).get("generate") is original:
+            monkeypatch.setattr(module, "generate", spy)
+    code, _, err = run_cli(capsys, *[demo_decl if a == "DECL" else a for a in argv])
+    assert code != EXIT_ERROR and err == ""
+    assert len(calls) == 1
+
+
+def test_the_cli_and_reports_import_no_private_name_from_quantum():
+    for name in ("cli.py", "quantum_report.py"):
+        tree = ast.parse((Path(quantum.__file__).parent / name).read_text(encoding="utf-8"))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "quantum"
+            for alias in node.names
+        ]
+        assert imported and [n for n in imported if n.startswith("_")] == [], name
 
 
 def test_table_output_never_builds_rows(capsys, monkeypatch, demo_decl):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
 import math
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +22,7 @@ from klogic import (
     ConstraintSet,
     DisjointIntervals,
     DuplicateAtom,
+    GeneratedTheory,
     Implies,
     IntervalProposition,
     KindMismatch,
@@ -37,7 +41,6 @@ from klogic import (
     uncertainty_product,
 )
 from klogic.cli import EXIT_OK, main
-from klogic.quantum import _incompatible_pairs
 
 MOM = ObservableKind.MOMENTUM
 POS = ObservableKind.POSITION
@@ -106,6 +109,53 @@ def test_generate_shares_each_propositions_var():
     assert pq.right.operand.operand is q.var and pr.right.operand.operand is r.var
     assert not_pq.operand.left is p.var and not_pq.operand.right is q.var
     assert not_pr.operand.left is p.var and not_pr.operand.right is r.var
+
+
+def test_floats_are_refused_and_exact_values_accepted():
+    """The float 0.3 lies just below 3/10, so against a position of width
+    5/3 it would read incompatible, although 3/10 * 5/3 = 1/2 meets the
+    bound."""
+    x = IntervalProposition("x", POS, Fraction(0), Fraction(5, 3))
+    assert Fraction(0.3) * x.width < Fraction(1, 2)
+    with pytest.raises(TypeError) as e:
+        IntervalProposition("m", MOM, 0, 0.3)
+    assert str(e.value) == "hi must be exact, got the float 0.3 (use a Fraction)"
+    with pytest.raises(TypeError, match=r"^lo must be exact, got the float 0\.0 "):
+        IntervalProposition("m", MOM, 0.0, Fraction(3, 10))
+    for hi in (Fraction(3, 10), "3/10", "0.3", Decimal("0.3")):
+        m = IntervalProposition("m", MOM, 0, hi)
+        assert m.width == Fraction(3, 10) and compatible(m, x)
+        assert generate((m, x)).pairs == ()
+    with pytest.raises(TypeError, match=r"^bound must be exact, got the float 0\.5 "):
+        PhysicsConfig(0.5)
+    assert PhysicsConfig(Decimal("0.5")) == PhysicsConfig("1/2") == PhysicsConfig()
+
+
+def test_pairs_are_found_once_and_the_nodes_built_on_first_read():
+    p, q, r = _p(), _q(), _r()
+    gen = generate([p, q, r])
+    assert gen == GeneratedTheory((p, q, r), PhysicsConfig())
+    assert gen.pairs == ((p, q), (p, r)) and gen.pairs[0][0] is p
+    assert gen.atom_names() == {"p", "q", "r"}
+    assert {"axioms", "constraints", "provenance"} & vars(gen).keys() == set()
+    assert gen.constraints is gen.constraints and "axioms" not in vars(gen)
+    assert gen.axioms is gen.axioms and gen.provenance is gen.provenance
+    assert pickle.loads(pickle.dumps(gen)).pairs == gen.pairs
+
+
+def test_the_readme_library_block_runs_as_documented():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines, namespace, results = block.splitlines(), {}, []
+    for statement in ast.parse(block).body:
+        code = ast.get_source_segment(block, statement)
+        if isinstance(statement, ast.Expr):
+            results.append(repr(eval(code, namespace)))
+            comment = lines[statement.end_lineno - 1].partition("# ")[2]
+            assert comment.startswith(results[-1]), comment
+        else:
+            exec(code, namespace)
+    assert results == ["Fraction(1, 3)", "False", "['K(m) -> !K(x)']", "'VALID'"]
 
 
 def test_physics_config_default_and_validation():
@@ -302,7 +352,7 @@ def _coprime_fraction(rng: random.Random, digits: int) -> Fraction:
 
 @pytest.mark.parametrize("wide_bound", [False, True], ids=["bound-1/2", "wide-bound"])
 def test_pair_search_matches_pairwise_compatible_at_1000_digits(wide_bound):
-    """_incompatible_pairs against a pairwise compatible() loop, in
+    """The pair search against a pairwise compatible() loop, in
     declaration order.  Momentum widths of about 1000 digits, several
     momenta per width and widths sharing a numerator or a denominator, each
     with positions whose product lies just below, exactly at (compatible)
@@ -339,7 +389,7 @@ def test_pair_search_matches_pairwise_compatible_at_1000_digits(wide_bound):
         for x in props
         if x.kind is POS and not compatible(m, x, cfg)
     ]
-    pairs = _incompatible_pairs(props, cfg)
+    pairs = generate(props, cfg).pairs
     assert [(m.atom, x.atom) for m, x in pairs] == expected
     # The data reaches the bound: every momentum is incompatible with the
     # position just below it, and compatible with the ones at and above it.

@@ -44,8 +44,6 @@ _v = Valuation(("p", "q"), (True, False))
 _m = IntervalProposition("p", ObservableKind.MOMENTUM, Fraction(0), Fraction(1, 6))
 _x = IntervalProposition("q", ObservableKind.POSITION, Fraction(-1), Fraction(1))
 _model = EpistemicModel(("p", "q"), (_v,), 0)
-_theory = Theory((parse("K(p) -> !K(q)"),))
-_constraints = ConstraintSet((parse("!(p & q)"),))
 
 # Each public record type with its field names and one set of field values.
 RECORDS = [
@@ -73,7 +71,7 @@ RECORDS = [
     (IntervalProposition, ("atom", "kind", "lo", "hi"), ("p", ObservableKind.MOMENTUM, Fraction(0), Fraction(1, 6))),
     (PhysicsConfig, ("bound",), (Fraction(1, 3),)),
     (AxiomProvenance, ("momentum", "position", "product", "bound"), (_m, _x, Fraction(1, 3), Fraction(1, 2))),
-    (GeneratedTheory, ("axioms", "constraints", "provenance"), (_theory, _constraints, ())),
+    (GeneratedTheory, ("propositions", "config"), ((_m, _x), PhysicsConfig())),
     (Declarations, ("propositions", "config"), ((_m, _x), PhysicsConfig())),
 ]
 
