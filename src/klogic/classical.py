@@ -10,6 +10,8 @@ integer whose bit i is the formula's truth value at canonical valuation i.
 `_columns` builds the full column and one column per atom, and `_truth`
 combines them with the connectives.  A column costs 2^n bits, so each atom
 limit also asks `_column_atoms`, which refuses more than MAX_COLUMN_ATOMS.
+Tautology, equivalence and K-free modal checks all ask `_first_valuation`
+for the first valuation where a list of K-free formulas holds.
 """
 
 from __future__ import annotations
@@ -246,16 +248,26 @@ def _table_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
 
 def _prepare(
     formulas: Sequence[Formula], constraints: ConstraintSet, atom_limit: int
-) -> tuple[tuple[str, ...], int, dict[str, int]]:
-    """The sorted atoms of a K-free query (see `_table_atoms`), its full and atom columns."""
+) -> tuple[str, ...]:
+    """The sorted atoms of a K-free query; see `_table_atoms`."""
     _require_k_free(formulas)
-    order = _table_atoms(constraints.atom_names().union(*map(atoms, formulas)), atom_limit)
-    return (order, *_columns(order))
+    return _table_atoms(constraints.atom_names().union(*map(atoms, formulas)), atom_limit)
 
 
 def _first(column: int) -> int:
     """Index of the lowest set bit: the first valuation in canonical order."""
     return (column & -column).bit_length() - 1
+
+
+def _first_valuation(names: Sequence[str], formulas: Iterable[Formula]) -> Valuation | None:
+    """The first valuation over `names`, in canonical order, where every one
+    of the K-free `formulas` holds, or None."""
+    full, masks = _columns(names)
+    cache: dict = {}
+    hits = full
+    for f in formulas:
+        hits &= _truth(f, full, masks, cache)
+    return valuation_at(names, _first(hits)) if hits else None
 
 
 def truth_table(
@@ -269,7 +281,8 @@ def truth_table(
     valuation; excluded rows carry no formula values.
     """
     formulas = tuple(formulas)
-    order, full, masks = _prepare(formulas, constraints, atom_limit)
+    order = _prepare(formulas, constraints, atom_limit)
+    full, masks = _columns(order)
     cache: dict = {}
     width = f"0{1 << len(order)}b"
 
@@ -303,16 +316,10 @@ class ClassicalVerdict(Record):
     witness: Valuation | None = None
 
 
-def _verdict(order: tuple[str, ...], counterexamples: int) -> ClassicalVerdict:
-    if counterexamples:
-        return ClassicalVerdict(False, valuation_at(order, _first(counterexamples)))
-    return ClassicalVerdict(True)
-
-
 def is_tautology(f: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> ClassicalVerdict:
     """True at every valuation, or the first falsifying valuation."""
-    order, full, masks = _prepare([f], ConstraintSet(), atom_limit)
-    return _verdict(order, full & ~_truth(f, full, masks, {}))
+    witness = _first_valuation(_prepare([f], ConstraintSet(), atom_limit), [Not(f)])
+    return ClassicalVerdict(witness is None, witness)
 
 
 def are_equivalent_under(
@@ -322,10 +329,6 @@ def are_equivalent_under(
     atom_limit: int = DEFAULT_ATOM_LIMIT,
 ) -> ClassicalVerdict:
     """Do f and g agree on every valuation satisfying all constraints?"""
-    order, full, masks = _prepare([f, g], constraints, atom_limit)
-    cache: dict = {}
-    allowed = full
-    for c in constraints:
-        allowed &= _truth(c, full, masks, cache)
-    differ = _truth(f, full, masks, cache) ^ _truth(g, full, masks, cache)
-    return _verdict(order, allowed & differ)
+    order = _prepare([f, g], constraints, atom_limit)
+    witness = _first_valuation(order, [*constraints, Not(Iff(f, g))])
+    return ClassicalVerdict(witness is None, witness)

@@ -5,15 +5,17 @@ itself included), represented as a non-empty set of pairwise-distinct
 valuations plus a designated world.  K(f) is true at a world iff f is true
 at every world of the cell.
 
-Satisfiability search enumerates canonical models exhaustively: with A the
-combined sorted atom set and V the 2^|A| valuations in canonical order, every
-non-empty subset of V is tried as a cell, in ascending order of the cell
-read as a column in the format the `klogic.classical` docstring defines,
-and within a cell, designated worlds in ascending valuation order.  The
-first hit is returned, so repeated queries are reproducible bit for bit.
-In single-agent S5 truth at the designated world depends only on
-its own equivalence class, and duplicate-valuation worlds are redundant, so
-this enumeration is exhaustive up to semantic equivalence.
+A K-free query and theory hold or fail at each world alone, so their first
+model is the singleton of the first valuation where all of them hold, which
+`klogic.classical` finds.  A query with K is searched exhaustively: with A
+the combined sorted atom set and V the 2^|A| valuations in canonical order,
+every non-empty subset of V is tried as a cell, in ascending order of the
+cell read as a column in the format the `klogic.classical` docstring
+defines, and within a cell, designated worlds in ascending valuation order.
+The first hit is returned, so repeated queries are reproducible bit for bit.
+In single-agent S5 truth at the designated world depends only on its own
+cell, and duplicate-valuation worlds are redundant, so this enumeration is
+exhaustive up to semantic equivalence.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .classical import (
     _column_atoms,
     _columns,
     _first,
+    _first_valuation,
     _require_assigned,
     _truth,
     valuation_at,
@@ -134,19 +137,11 @@ def _first_model(
 ) -> EpistemicModel | None:
     """First canonical model of `theory` (globally) satisfying f at the
     designated world, or None."""
-    full, masks = _columns(names)
-
     if modal_depth(f) == 0 and all(modal_depth(a) == 0 for a in theory.axioms):
-        # K-free everywhere: worlds satisfy axioms independently, so the first
-        # hit is always the singleton of the first valuation satisfying both.
-        cache: dict = {}
-        hits = _truth(f, full, masks, cache)
-        for a in theory.axioms:
-            hits &= _truth(a, full, masks, cache)
-        if hits == 0:
-            return None
-        return EpistemicModel.singleton(valuation_at(names, _first(hits)))
+        first = _first_valuation(names, [f, *theory.axioms])
+        return None if first is None else EpistemicModel.singleton(first)
 
+    full, masks = _columns(names)
     for cell_mask in range(1, full + 1):
         cache = {}
         if any(_truth(a, cell_mask, masks, cache) != cell_mask for a in theory.axioms):

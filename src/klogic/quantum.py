@@ -46,9 +46,10 @@ def _exact(value, name: str) -> Fraction:
 class IntervalProposition(Record):
     """An atom asserting that an observable lies in [lo, hi] (natural units).
 
-    `var`, the atom's `Var`, and `width`, hi - lo, are computed once, when
-    the proposition is built; they are attributes, not fields, so they take
-    no part in equality, hashing, the repr or pickling.
+    `kind` may be given as its value, such as "momentum"; an unknown kind
+    raises ValueError.  `var`, the atom's `Var`, and `width`, hi - lo, are
+    computed once, when the proposition is built; they are attributes, not
+    fields, so they take no part in equality, hashing, the repr or pickling.
     """
 
     atom: str
@@ -58,11 +59,12 @@ class IntervalProposition(Record):
 
     def __post_init__(self):
         var = Var(self.atom)  # refuses an invalid name
+        kind = ObservableKind(self.kind)
         lo, hi = _exact(self.lo, "lo"), _exact(self.hi, "hi")
         width = hi - lo
         if not width.numerator > 0:
             raise ValueError(f"interval must have positive width, got [{lo}, {hi}]")
-        for name, value in (("var", var), ("lo", lo), ("hi", hi), ("width", width)):
+        for name, value in (("var", var), ("kind", kind), ("lo", lo), ("hi", hi), ("width", width)):
             object.__setattr__(self, name, value)
 
 

@@ -189,6 +189,17 @@ def test_kind_mismatch_is_rejected():
         compatible(_q(), _r())
 
 
+def test_kind_may_be_given_as_its_value():
+    m = IntervalProposition("m", "momentum", Fraction(0), Fraction(1, 6))
+    x = IntervalProposition("x", "position", Fraction(-1), Fraction(1))
+    assert m == IntervalProposition("m", MOM, Fraction(0), Fraction(1, 6))
+    assert (m.kind, x.kind) == (MOM, POS)
+    assert compatible(m, x) is False
+    assert generate([m, x]).pairs == ((m, x),)
+    with pytest.raises(ValueError, match="spin"):
+        IntervalProposition("s", "spin", Fraction(0), Fraction(1))
+
+
 def test_compatibility_verdicts():
     full_range = IntervalProposition("s", POS, Fraction(-1), Fraction(3))
     assert compatible(_p(), full_range) is True
