@@ -11,8 +11,9 @@ Declaration files describe interval propositions, one per line:
 at most one `bound` directive (default 1/2).  Rationals are written as a/b,
 integers, or finite decimals, and are converted exactly: a/b and integers
 as `Fraction(int, int)`, decimals by `Fraction`'s parser.  Atom names follow
-`Var`'s rule and the bound `PhysicsConfig`'s; those types check them, and
-the reader adds the line to their refusal.
+`Var`'s rule, kinds `ObservableKind`'s and the bound `PhysicsConfig`'s;
+those types check them and word the refusal.  A line's reader raises
+`ValueError`, and `formula_files`' line loop adds the file and line.
 
 Theory and constraint files are read by `formula_files`, whose loaders this
 module re-exports, and which reads every input file.
@@ -24,8 +25,7 @@ import re
 from fractions import Fraction
 
 from ._record import Record
-from .errors import InputFileError
-from .formula_files import _content_lines, _read, load_constraints, load_theory  # noqa: F401
+from .formula_files import _read, _read_lines, load_constraints, load_theory  # noqa: F401
 from .quantum import IntervalProposition, ObservableKind, PhysicsConfig
 
 _RATIONAL = r"[+-]?\d+(?:/\d+|\.\d+)?"
@@ -74,47 +74,34 @@ def parse_declarations(text: str, source: str = "<declarations>") -> Declaration
     props: list[IntervalProposition] = []
     names: set[str] = set()
     config: PhysicsConfig | None = None
-    for lineno, line in _content_lines(text):
-        def fail(message: str) -> InputFileError:
-            return InputFileError(source, lineno, message)
 
+    def read_line(line: str) -> None:
+        nonlocal config
         directive = line.split(None, 1)[0]
         if directive == "bound":
             m = _BOUND_LINE_RE.match(line)
             if not m:
-                raise fail("malformed bound directive (expected: bound <rational>)")
+                raise ValueError("malformed bound directive (expected: bound <rational>)")
             if config is not None:
-                raise fail("duplicate bound directive")
-            try:
-                config = PhysicsConfig(parse_rational(m.group("value")))
-            except ValueError as e:
-                raise fail(str(e)) from None
+                raise ValueError("duplicate bound directive")
+            config = PhysicsConfig(parse_rational(m.group("value")))
         elif directive == "atom":
             m = _ATOM_LINE_RE.match(line)
             if not m:
-                raise fail(
+                raise ValueError(
                     "malformed atom entry (expected: atom <name> <kind> [<lo>, <hi>])"
                 )
             name = m.group("name")
             if name in names:
-                raise fail(f"atom '{name}' declared more than once")
-            try:
-                kind = ObservableKind(m.group("kind"))
-            except ValueError:
-                raise fail(
-                    f"unknown observable kind {m.group('kind')!r} "
-                    f"(expected position or momentum)"
-                ) from None
-            try:
-                lo = parse_rational(m.group("lo"))
-                hi = parse_rational(m.group("hi"))
-                prop = IntervalProposition(name, kind, lo, hi)
-            except ValueError as e:
-                raise fail(str(e)) from None
+                raise ValueError(f"atom '{name}' declared more than once")
+            kind = ObservableKind(m.group("kind"))  # refused before the endpoints
+            lo, hi = parse_rational(m.group("lo")), parse_rational(m.group("hi"))
+            props.append(IntervalProposition(name, kind, lo, hi))
             names.add(name)
-            props.append(prop)
         else:
-            raise fail(f"unrecognized directive: {directive!r}")
+            raise ValueError(f"unrecognized directive: {directive!r}")
+
+    _read_lines(text, source, read_line)
     return Declarations(tuple(props), config or PhysicsConfig())
 
 

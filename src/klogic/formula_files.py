@@ -3,19 +3,20 @@ grammar.  Constraint files must be K-free.
 
 This module reads every input file, `declarations`' too: it decodes UTF-8
 and owns the line rule they share, under which `#` starts a comment and
-blank lines are ignored.  It imports neither `quantum` nor `fractions`, so
+blank lines are ignored.  `_read_lines` runs a file's reader over those
+lines and reports the first line it refuses at `file:line`; no other code
+locates a faulty line.  It imports neither `quantum` nor `fractions`, so
 a `check --theory` or `table --constraints` run loads none of the interval
-code.
+code, and only `load_theory` imports `epistemic`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable
 
 from .classical import ConstraintSet
-from .epistemic import Theory
-from .errors import InputFileError, LogicError
-from .syntax import Formula, ParseError, modal_depth, parse, render
+from .errors import InputFileError, LogicError, ModalOperatorPresent
+from .syntax import Formula, modal_depth, parse, render
 
 
 def _read(path: str) -> str:
@@ -38,40 +39,38 @@ def _read(path: str) -> str:
         ) from None
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """Each line of `text` that is more than a comment and whitespace, with
-    its 1-based number, its comment cut and its ends stripped."""
+def _read_lines(text: str, source: str, read_line: Callable[[str], object]) -> list:
+    """`read_line` of each line of `text` that is more than a comment and
+    whitespace, its comment cut and its ends stripped; the first line it
+    refuses with a ValueError or a LogicError is reported at its number."""
+    results = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield lineno, line
-
-
-def _parse_formula_lines(text: str, source: str) -> list[tuple[int, Formula]]:
-    formulas: list[tuple[int, Formula]] = []
-    for lineno, line in _content_lines(text):
-        try:
-            formulas.append((lineno, parse(line)))
-        except ParseError as e:
-            raise InputFileError(source, lineno, str(e)) from None
-    return formulas
+            try:
+                results.append(read_line(line))
+            except (ValueError, LogicError) as e:
+                raise InputFileError(source, lineno, str(e)) from None
+    return results
 
 
 def load_theory(path: str) -> Theory:
     """One axiom per line; K is allowed."""
-    parsed = _parse_formula_lines(_read(path), path)
-    return Theory(tuple(f for _, f in parsed))
+    from .epistemic import Theory
+
+    return Theory(tuple(_read_lines(_read(path), path, parse)))
+
+
+def _constraint(line: str) -> Formula:
+    f = parse(line)
+    if modal_depth(f) != 0:
+        raise ModalOperatorPresent(
+            f"constraint contains the knowledge operator: {render(f)} "
+            f"(constraints must be K-free)"
+        )
+    return f
 
 
 def load_constraints(path: str) -> ConstraintSet:
     """One K-free constraint per line."""
-    parsed = _parse_formula_lines(_read(path), path)
-    for lineno, f in parsed:
-        if modal_depth(f) != 0:
-            raise InputFileError(
-                path,
-                lineno,
-                f"constraint contains the knowledge operator: {render(f)} "
-                f"(constraints must be K-free)",
-            )
-    return ConstraintSet(tuple(f for _, f in parsed))
+    return ConstraintSet(tuple(_read_lines(_read(path), path, _constraint)))

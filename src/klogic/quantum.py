@@ -16,6 +16,11 @@ listing costs about what its output does.
 pairs when built and its axioms, constraints and provenance on first read,
 so an atom limit is asked of the pairs' atoms before any node exists.  A
 proposition's `Var` is built once, and every node of its formulas shares it.
+`epistemic` is imported when the axioms are first read, so a process that
+needs only the constraints loads no modal code.
+
+`ObservableKind` words the refusal of an unknown kind, which a declaration
+file reports at its line.
 """
 
 from __future__ import annotations
@@ -27,13 +32,16 @@ from typing import Iterable
 
 from ._record import Record
 from .classical import ConstraintSet
-from .epistemic import Theory
 from .errors import DisjointIntervals, DuplicateAtom, KindMismatch
 from .syntax import And, Implies, Know, Not, Var
 
 class ObservableKind(Enum):
     POSITION = "position"
     MOMENTUM = "momentum"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown observable kind {value!r} (expected position or momentum)")
 
 
 def _exact(value, name: str) -> Fraction:
@@ -166,6 +174,8 @@ class GeneratedTheory(Record):
     @cached_property
     def axioms(self) -> Theory:
         """Each proposition's side, K(m) or !K(x), is one node in every axiom it is in."""
+        from .epistemic import Theory
+
         sides = {
             id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
             for p in self.propositions

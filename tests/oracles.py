@@ -9,6 +9,7 @@ package; agreement between the two is the point.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from klogic import And, Bottom, Formula, Iff, Implies, Know, Not, Or, Top, Var
 
@@ -88,6 +89,66 @@ def oracle_first_model(
             if oracle_eval_modal(f, worlds, j):
                 return tuple(worlds), j
     return None
+
+
+def _atom_names(f: Formula) -> set[str]:
+    match f:
+        case Var(name=name):
+            return {name}
+        case Know(operand=g) | Not(operand=g):
+            return _atom_names(g)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r) | Iff(
+            left=l, right=r
+        ):
+            return _atom_names(l) | _atom_names(r)
+    return set()
+
+
+def _graph_eval(f: Formula, known: set[str], env: dict[str, bool]) -> bool:
+    """Truth of `f` where K(a) reads "a is in `known`" and a plain atom its
+    value in `env`."""
+    match f:
+        case Know(operand=Var(name=name)):
+            return name in known
+        case Know():
+            raise AssertionError(f"K of a compound formula: {f!r}")
+        case Not(operand=g):
+            return not _graph_eval(g, known, env)
+        case And(left=l, right=r):
+            return _graph_eval(l, known, env) and _graph_eval(r, known, env)
+        case Or(left=l, right=r):
+            return _graph_eval(l, known, env) or _graph_eval(r, known, env)
+        case Implies(left=l, right=r):
+            return (not _graph_eval(l, known, env)) or _graph_eval(r, known, env)
+        case Iff(left=l, right=r):
+            return _graph_eval(l, known, env) == _graph_eval(r, known, env)
+        case _:
+            return oracle_eval(f, env)
+
+
+def oracle_graph_sat(f: Formula, pairs) -> bool:
+    """Whether `f`, over K(atom), plain atoms and connectives, holds at some
+    world of some model of the axioms K(m) -> !K(x), one per incompatible
+    (m, x) in `pairs`, whatever the number of declared atoms.
+
+    It does iff some set S of f's atoms with no incompatible pair, and some
+    valuation d of f's atoms with S true, make f true when K(a) reads "a is
+    in S" and each plain atom reads its value in d.  From such S and d, the
+    cell of d plus one world per other atom, with S true and that atom
+    false, is a model; from a model, S is the atoms of f it knows and d its
+    designated world.  At most 3^n evaluations over f's n atoms.
+    """
+    names = tuple(sorted(_atom_names(f)))
+    incompatible = {frozenset(pair) for pair in pairs}
+    for env in canonical_worlds(names):
+        true = [a for a in names if env[a]]
+        for k in range(len(true) + 1):
+            for known in combinations(true, k):
+                if any(frozenset(two) in incompatible for two in combinations(known, 2)):
+                    continue
+                if _graph_eval(f, set(known), env):
+                    return True
+    return False
 
 
 def random_formula(

@@ -89,6 +89,12 @@ def test_located_errors():
         ("bound 1/2\nbound", 2, "malformed bound directive (expected: bound <rational>)"),
         ("bound 1/2 3/4", 1, "malformed bound directive (expected: bound <rational>)"),
         ("atom p momentum", 1, "malformed atom entry (expected: atom <name> <kind> [<lo>, <hi>])"),
+        # a line with several faults reports the first in the order kind, endpoints, name
+        ("atom And spin [1/0, 1]", 1, "unknown observable kind 'spin' (expected position or momentum)"),
+        ("atom And momentum [1/0, 1]", 1, "zero denominator in '1/0'"),
+        # a file with several faulty lines reports its first
+        ("atom a momentum [0, 1]\nbound 0\natom a position [0, 1]\nwidget", 2, "positive"),
+        ("# c\n\natom b wavefn [0, 1]\nbound x\nbound y", 3, "kind"),
     ]
     for text, line, needle in cases:
         with pytest.raises(InputFileError) as exc:
@@ -112,10 +118,10 @@ def test_load_theory(demo_theory):
 
 def test_theory_parse_errors_carry_file_and_line(tmp_path):
     path = tmp_path / "bad.thy"
-    path.write_text("K(p)\np &\n", encoding="utf-8")
+    path.write_text("K(p)\np &\n(q\n", encoding="utf-8")
     with pytest.raises(InputFileError) as exc:
         load_theory(str(path))
-    assert exc.value.line == 2
+    assert exc.value.line == 2  # the first of the two faulty lines
     assert "offset" in str(exc.value)
 
 
@@ -131,6 +137,15 @@ def test_load_constraints_requires_k_free(tmp_path):
         load_constraints(str(bad))
     assert exc.value.line == 2
     assert "K-free" in str(exc.value)
+
+    # the first faulty line is reported, though a later one fails to parse
+    first = tmp_path / "first.cons"
+    first.write_text("K(a)\na &\n", encoding="utf-8")
+    with pytest.raises(InputFileError) as exc:
+        load_constraints(str(first))
+    assert str(exc.value) == (
+        f"{first}:1: constraint contains the knowledge operator: K(a) (constraints must be K-free)"
+    )
 
 
 def test_theory_file_matches_generated_axioms(demo_decl, demo_theory):

@@ -23,12 +23,14 @@ from klogic import (
     DisjointIntervals,
     DuplicateAtom,
     GeneratedTheory,
+    Iff,
     Implies,
     IntervalProposition,
     KindMismatch,
     Know,
     Not,
     ObservableKind,
+    Or,
     PhysicsConfig,
     Theory,
     Var,
@@ -40,7 +42,8 @@ from klogic import (
     truth_table,
     uncertainty_product,
 )
-from klogic.cli import EXIT_OK, main
+from klogic.cli import EXIT_NEGATIVE, EXIT_OK, main
+from oracles import oracle_eval_modal, oracle_graph_sat
 
 MOM = ObservableKind.MOMENTUM
 POS = ObservableKind.POSITION
@@ -196,8 +199,10 @@ def test_kind_may_be_given_as_its_value():
     assert (m.kind, x.kind) == (MOM, POS)
     assert compatible(m, x) is False
     assert generate([m, x]).pairs == ((m, x),)
-    with pytest.raises(ValueError, match="spin"):
+    with pytest.raises(ValueError) as exc:
         IntervalProposition("s", "spin", Fraction(0), Fraction(1))
+    # the declaration reader prints the same text at the line
+    assert str(exc.value) == "unknown observable kind 'spin' (expected position or momentum)"
 
 
 def test_compatibility_verdicts():
@@ -529,3 +534,61 @@ def test_pair_built_report_agrees_with_generate(tmp_path_factory, momenta, posit
         f"{len(props)} propositions, {len(gen.axioms.axioms)} axioms, "
         f"{len(gen.constraints)} constraints, bound {bound}\n"
     )
+
+
+def _known(name: str) -> Know:
+    return Know(Var(name))
+
+
+# K(atom), twice as likely as a plain atom, and the connectives; m1 or x1 is
+# an undeclared atom in a file with one momentum or one position.
+_graph_atoms = st.sampled_from(["m0", "m1", "x0", "x1"])
+_graph_queries = st.recursive(
+    st.builds(Var, _graph_atoms) | st.builds(_known, _graph_atoms) | st.builds(_known, _graph_atoms),
+    lambda sub: st.builds(Not, sub) | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
+    | st.builds(Implies, sub, sub) | st.builds(Iff, sub, sub),
+    max_leaves=6,
+)
+# Products of these widths fall below, at and above the bound 1/2.
+_graph_widths = st.lists(
+    st.sampled_from([Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]), min_size=1, max_size=2
+)
+_narrow = [Fraction(1, 6), Fraction(1, 6)]
+
+
+@given(_graph_widths, _graph_widths, st.sampled_from(["sat", "valid"]), _graph_queries)
+@example(_narrow, _narrow, "sat", parse("K(m0) & (K(x0) | K(x1))"))
+@example(_narrow, _narrow, "valid", parse("K(m0) | K(m1) -> !K(x0) & !K(x1)"))
+@settings(max_examples=40, deadline=None)  # a 4-atom VALID or UNSAT answer takes about 1 s
+def test_quantum_check_matches_the_graph_reference(tmp_path_factory, momenta, positions, mode, f):
+    """`quantum --check` over at most 4 atoms answers as the incompatibility
+    graph does, and every model it returns satisfies the axioms and the query."""
+    props = tuple(IntervalProposition(f"m{i}", MOM, 0, w) for i, w in enumerate(momenta)) + tuple(
+        IntervalProposition(f"x{i}", POS, 0, w) for i, w in enumerate(positions)
+    )
+    path = _write_decl(tmp_path_factory.getbasetemp() / "graph.decl", props, Fraction(1, 2))
+    pairs = [
+        (m.atom, x.atom)
+        for m in props[: len(momenta)]
+        for x in props[len(momenta):]
+        if (m.hi - m.lo) * (x.hi - x.lo) < Fraction(1, 2)
+    ]
+    target = f if mode == "sat" else Not(f)  # a countermodel satisfies !f
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["quantum", path, "--check", render(f), "--mode", mode, "--format", "json"])
+    check = json.loads(out.getvalue())["check"]
+    found = oracle_graph_sat(target, pairs)
+    assert check["verdict"] == {
+        ("sat", True): "SATISFIABLE", ("sat", False): "UNSATISFIABLE",
+        ("valid", True): "INVALID", ("valid", False): "VALID",
+    }[mode, found]
+    assert code == (EXIT_OK if check["verdict"] in ("SATISFIABLE", "VALID") else EXIT_NEGATIVE)
+    model = check.get("model") or check.get("countermodel")
+    assert (model is not None) == found
+    if model is not None:
+        worlds = [dict(zip(model["atoms"], map(bool, bits))) for bits in model["worlds"]]
+        assert oracle_eval_modal(target, worlds, model["designated"])
+        for m, x in pairs:
+            axiom = Implies(_known(m), Not(_known(x)))
+            assert all(oracle_eval_modal(axiom, worlds, i) for i in range(len(worlds)))

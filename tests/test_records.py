@@ -253,10 +253,14 @@ _UNUSED = {"klogic.quantum", "klogic.declarations", "fractions", "decimal", "jso
         (["check", "K(a) -> a", "--mode", "sat", "--theory", "{theory}"], _UNUSED),
         (["table", "p | q"], _UNUSED | {"klogic.epistemic"}),
         (["table", "p | q", "--format", "csv"], _UNUSED | {"klogic.epistemic"}),
-        (["table", "p | q", "--constraints", "{constraints}"], _UNUSED),
+        (["table", "p | q", "--constraints", "{constraints}"], _UNUSED | {"klogic.epistemic"}),
+        (["table", "p & q", "--quantum", "{decl}"], {"klogic.epistemic", "json"}),
         (["quantum", "{decl}", "--echo", "--list-axioms"], {"json"}),
     ],
-    ids=["check", "check-theory", "table", "table-csv", "table-constraints", "quantum-listing"],
+    ids=[
+        "check", "check-theory", "table", "table-csv", "table-constraints", "table-quantum",
+        "quantum-listing",
+    ],
 )
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unused):
     paths = {"theory": tmp_path / "a.thy", "constraints": tmp_path / "a.con",
