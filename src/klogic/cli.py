@@ -13,7 +13,9 @@ canonical enumeration order makes every reported model reproducible.
 Each command has one report, the dict that `--format json` prints.  The
 text of `check` and `demo` is rendered from it; `table` and `quantum` write
 theirs from the data it is built from: a `TruthTable`, and `quantum.generate`'s
-pairs, whose atoms meet every limit before any axiom or constraint is built.
+pairs.  A table's atoms meet every limit before any constraint is built; a
+check's query atoms meet them before any axiom is, and it builds only the
+axioms of the pairs inside them.
 
 Start-up is most of a run, so each command imports the layers it uses when
 it runs: `check` and `table` load none of the interval code, and `json` is
@@ -28,7 +30,7 @@ import errno
 import functools
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .classical import (
     DEFAULT_ATOM_LIMIT,
@@ -50,7 +52,7 @@ EXIT_ERROR = 2
 
 _MODAL_LIMIT_HELP = (
     "override the atom limit; modal search enumerates 2^(2^n) candidate "
-    "cells over n atoms, so raise with care"
+    "cells over the n atoms a query reaches through its axioms, so raise with care"
 )
 _CLASSICAL_LIMIT_HELP = (
     "override the atom limit; a truth table visits 2^n valuations over "
@@ -132,12 +134,13 @@ def _print_json(report: dict, slot: tuple | None = None) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _run_query(f: Formula, theory: Theory, mode: str, limit: int) -> CheckResult:
+def _run_query(
+    f: Formula, theory: Theory, mode: str, limit: int, extra_atoms: Iterable[str] = ()
+) -> CheckResult:
     from .epistemic import is_satisfiable, is_valid
 
-    if mode == "valid":
-        return is_valid(f, theory, atom_limit=limit)
-    return is_satisfiable(f, theory, atom_limit=limit)
+    check = is_valid if mode == "valid" else is_satisfiable
+    return check(f, theory, atom_limit=limit, extra_atoms=extra_atoms)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -206,8 +209,10 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     check = None
     if args.check is not None:
         f = parse(args.check)
-        _search_atoms(generated.atom_names().union(atoms(f)), args.atom_limit)
-        result = _run_query(f, generated.axioms, args.mode, args.atom_limit)
+        reached, every = set(atoms(f)), generated.atom_names()
+        _search_atoms(reached, every | reached, args.atom_limit)  # before any axiom node is built
+        theory = generated.axioms_within(reached)
+        result = _run_query(f, theory, args.mode, args.atom_limit, every)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}
 
     if args.format == "json":

@@ -5,28 +5,47 @@ itself included), represented as a non-empty set of pairwise-distinct
 valuations plus a designated world.  K(f) is true at a world iff f is true
 at every world of the cell.
 
-A K-free query and theory hold or fail at each world alone, so their first
-model is the singleton of the first valuation where all of them hold, which
-`klogic.classical` finds.  A query with K is searched exhaustively: with A
-the combined sorted atom set and V the 2^|A| valuations in canonical order,
-every non-empty subset of V is tried as a cell, in ascending order of the
-cell read as a column in the format the `klogic.classical` docstring
-defines, and within a cell, designated worlds in ascending valuation order.
-The first hit is returned, so repeated queries are reproducible bit for bit.
+A query is answered in three steps.
+
+Reduction.  The search covers only the atoms Q that the query reaches
+through the theory.  Q starts as the query's atoms.  An axiom with an atom
+outside Q is dropped while it folds to true with those atoms false at every
+world (`_fold`); any other axiom is kept and its atoms join Q, until Q
+stops growing.  This is exact: setting every atom outside Q to false in
+every world of a model keeps the kept axioms and the query true (they read
+only Q), keeps the dropped ones true (they fold to true), and can only
+lower the cell's column.  So the first model has every atom outside Q
+false, and is the first model over Q of the kept axioms.
+
+Search.  A K-free query and kept theory hold or fail at each world alone,
+so their first model is the singleton of the first valuation where all of
+them hold, which `klogic.classical` finds.  A query with K is searched
+exhaustively: with V the 2^|Q| valuations of Q in canonical order, every
+non-empty subset of V is tried as a cell, in ascending order of the cell
+read as a column in the format the `klogic.classical` docstring defines,
+and within a cell, designated worlds in ascending valuation order.  The
+first hit is returned, so repeated queries are reproducible bit for bit.
 In single-agent S5 truth at the designated world depends only on its own
 cell, and duplicate-valuation worlds are redundant, so this enumeration is
 exhaustive up to semantic equivalence.
+
+Padding.  Every world of the model found is padded with false to the
+sorted atoms of the query, the whole theory and any extra atoms the caller
+names.  Padding keeps the order of valuations, so the model, its designated
+world and every report are those of a search over all the atoms.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Iterable, Sequence
 
 from ._record import Record
 from .errors import AtomLimitExceeded
-from .syntax import Bottom, Formula, Iff, Know, Not, Top, Var, atoms, modal_depth
+from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, atoms, modal_depth
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
+    MAX_COLUMN_ATOMS,
     Valuation,
     _column_atoms,
     _columns,
@@ -132,19 +151,102 @@ def _model_from_mask(
     return EpistemicModel(names, cell, indices.index(designated_index))
 
 
+def _pad(m: EpistemicModel, names: tuple[str, ...]) -> EpistemicModel:
+    """m over `names`, a sorted superset of its atoms, each added atom false
+    at every world."""
+    if m.atoms == names:
+        return m
+    cell = []
+    for v in m.cell:
+        values = v.as_dict()
+        cell.append(Valuation(names, tuple([values.get(a, False) for a in names])))
+    return EpistemicModel(names, cell, m.designated)
+
+
+def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
+    """Three-valued truth of f at every world of every cell where each atom
+    outside `unknown` is false: True or False when that settles it, None
+    when it may depend on the atoms in `unknown`.
+
+    K(g) folds as g does, because a cell is non-empty: so K(false) folds to
+    False.  `cache` holds the nodes folded for this `unknown` set.
+    """
+    if f in cache:
+        return cache[f]
+    if isinstance(f, Top):
+        r = True
+    elif isinstance(f, Bottom):
+        r = False
+    elif isinstance(f, Var):
+        r = None if f.name in unknown else False
+    elif isinstance(f, Know):
+        r = _fold(f.operand, unknown, cache)
+    elif isinstance(f, Not):
+        r = _fold(f.operand, unknown, cache)
+        r = None if r is None else not r
+    else:
+        left = _fold(f.left, unknown, cache)
+        if isinstance(f, Implies) and left is not None:  # read as !left | right
+            left = not left
+        pair = (left, _fold(f.right, unknown, cache))
+        if isinstance(f, And):
+            r = False if False in pair else None if None in pair else True
+        elif isinstance(f, Iff):
+            r = None if None in pair else pair[0] == pair[1]
+        else:  # Or, and Implies as !left | right
+            r = True if True in pair else None if None in pair else False
+    cache[f] = r
+    return r
+
+
+def _reduce(
+    f: Formula, axioms: tuple[Formula, ...], extra_atoms: Iterable[str], atom_limit: int
+) -> tuple[tuple[str, ...], list[Formula], tuple[str, ...]]:
+    """The atoms Q that a search for f reaches through `axioms`, sorted; the
+    axioms it keeps, in theory order; and the atoms of f, `axioms` and
+    `extra_atoms`, sorted, which the model is padded to.
+
+    See the module docstring for the rule: a pass over the axioms not yet
+    kept repeats while Q grows.  The limits are asked of f's atoms before
+    any fold and of Q each time it grows, so the reduction stops as soon as
+    Q passes one, with the refusal a search over every atom would get.
+    """
+    q = set(atoms(f))
+    axiom_atoms = [set(atoms(a)) for a in axioms]
+    every = q.union(extra_atoms, *axiom_atoms)
+    _search_atoms(q, every, atom_limit)  # a query too wide is refused before any fold
+    kept = [False] * len(axioms)
+    grew = True
+    while grew:
+        grew, cache = False, {}
+        for i, a in enumerate(axioms):
+            if kept[i]:
+                continue
+            outside = axiom_atoms[i] - q
+            if outside and _fold(a, q, cache):
+                continue
+            kept[i] = True
+            if outside:
+                q |= outside
+                _search_atoms(q, every, atom_limit)
+                grew, cache = True, {}
+    searched = _search_atoms(q, every, atom_limit)
+    return searched, [a for a, k in zip(axioms, kept) if k], tuple(sorted(every))
+
+
 def _first_model(
-    f: Formula, theory: Theory, names: tuple[str, ...]
+    f: Formula, axioms: Sequence[Formula], names: tuple[str, ...]
 ) -> EpistemicModel | None:
-    """First canonical model of `theory` (globally) satisfying f at the
-    designated world, or None."""
-    if modal_depth(f) == 0 and all(modal_depth(a) == 0 for a in theory.axioms):
-        first = _first_valuation(names, [f, *theory.axioms])
+    """First canonical model over `names` of the axioms (globally) satisfying
+    f at the designated world, or None."""
+    if modal_depth(f) == 0 and all(modal_depth(a) == 0 for a in axioms):
+        first = _first_valuation(names, [f, *axioms])
         return None if first is None else EpistemicModel.singleton(first)
 
     full, masks = _columns(names)
     for cell_mask in range(1, full + 1):
         cache = {}
-        if any(_truth(a, cell_mask, masks, cache) != cell_mask for a in theory.axioms):
+        if any(_truth(a, cell_mask, masks, cache) != cell_mask for a in axioms):
             continue
         t = _truth(f, cell_mask, masks, cache)
         if t:
@@ -152,41 +254,53 @@ def _first_model(
     return None
 
 
-def _search_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
-    """The names sorted, or the modal limit's refusal (no cell count in decimal), then
-    the ceiling's; callers ask it before they build the formulas the names come from."""
-    n = len(names)
-    if n > atom_limit:
-        raise AtomLimitExceeded(
-            f"{n} atoms gives 2^(2^{n}) candidate cells (the search space grows "
-            f"as 2^(2^n)); the modal atom limit is {atom_limit} "
-            f"(raise it explicitly to accept the cost)"
-        )
-    return _column_atoms(names)
+def _search_atoms(searched: set[str], every: set[str], atom_limit: int) -> tuple[str, ...]:
+    """The atoms a search covers, sorted, when the modal limit and the column
+    ceiling allow them; otherwise the refusal a search over `every`, the
+    atoms the model would be over, gets: the limit's (its cell count written
+    as a power, never in decimal), then the ceiling's.  `_reduce` asks it
+    before any fold, and `quantum --check` before it builds any axiom."""
+    n = len(searched)
+    if n > atom_limit or n > MAX_COLUMN_ATOMS:
+        total = len(every)
+        if total > atom_limit:
+            raise AtomLimitExceeded(
+                f"{total} atoms gives 2^(2^{total}) candidate cells (the search space grows "
+                f"as 2^(2^n)); the modal atom limit is {atom_limit} "
+                f"(raise it explicitly to accept the cost)"
+            )
+        _column_atoms(every)  # refuses, as every holds searched
+    return tuple(sorted(searched))
 
 
 def is_satisfiable(
     f: Formula,
     theory: Theory = Theory(),
     atom_limit: int = DEFAULT_MODAL_ATOM_LIMIT,
+    extra_atoms: Iterable[str] = (),
 ) -> CheckResult:
     """Is there a canonical model of the theory where f holds at the
-    designated world?  Returns the first such model in enumeration order."""
-    names = _search_atoms(theory.atom_names().union(atoms(f)), atom_limit)
-    model = _first_model(f, theory, names)
+    designated world?  Returns the first such model in enumeration order,
+    over the atoms of f, the whole theory and `extra_atoms`.  Nothing reads
+    an extra atom, so it is false at every world of that model; a caller
+    that leaves out axioms the reduction would drop passes their atoms."""
+    names, axioms, padded = _reduce(f, theory.axioms, extra_atoms, atom_limit)
+    model = _first_model(f, axioms, names)
     if model is None:
         return CheckResult(Verdict.UNSATISFIABLE)
-    return CheckResult(Verdict.SATISFIABLE, model)
+    return CheckResult(Verdict.SATISFIABLE, _pad(model, padded))
 
 
 def is_valid(
     f: Formula,
     theory: Theory = Theory(),
     atom_limit: int = DEFAULT_MODAL_ATOM_LIMIT,
+    extra_atoms: Iterable[str] = (),
 ) -> CheckResult:
     """Does f hold at every world of every model of the theory?  Invalid
-    results carry the first countermodel (a model of the negation)."""
-    negated = is_satisfiable(Not(f), theory, atom_limit)
+    results carry the first countermodel (a model of the negation), over
+    the atoms `is_satisfiable` names."""
+    negated = is_satisfiable(Not(f), theory, atom_limit, extra_atoms)
     if negated.verdict is Verdict.SATISFIABLE:
         return CheckResult(Verdict.INVALID, negated.model)
     return CheckResult(Verdict.VALID)

@@ -14,10 +14,12 @@ listing costs about what its output does.
 
 `generate` is the one route to formulas: its `GeneratedTheory` finds the
 pairs when built and its axioms, constraints and provenance on first read,
-so an atom limit is asked of the pairs' atoms before any node exists.  A
-proposition's `Var` is built once, and every node of its formulas shares it.
-`epistemic` is imported when the axioms are first read, so a process that
-needs only the constraints loads no modal code.
+so an atom limit is asked before any node exists: of the pairs' atoms for a
+table, of the query's atoms for a check, which then builds only the axioms
+`axioms_within` its query's atoms, the only ones its search keeps (see
+`epistemic`).  A proposition's `Var` is built once, and every node of its
+formulas shares it.  `epistemic` is imported when axioms are first built, so
+a process that needs only the constraints loads no modal code.
 
 `ObservableKind` words the refusal of an unknown kind, which a declaration
 file reports at its line.
@@ -28,7 +30,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Collection, Iterable
 
 from ._record import Record
 from .classical import ConstraintSet
@@ -173,6 +175,15 @@ class GeneratedTheory(Record):
 
     @cached_property
     def axioms(self) -> Theory:
+        return self._theory(self.pairs)
+
+    def axioms_within(self, names: Collection[str]) -> Theory:
+        """The axioms of the pairs whose two atoms are both in `names`: the
+        only ones a query over `names` keeps (see `epistemic`), since
+        K(m) -> !K(x) holds once m or x is false at every world."""
+        return self._theory([(m, x) for m, x in self.pairs if m.atom in names and x.atom in names])
+
+    def _theory(self, pairs: Iterable[tuple[IntervalProposition, IntervalProposition]]) -> Theory:
         """Each proposition's side, K(m) or !K(x), is one node in every axiom it is in."""
         from .epistemic import Theory
 
@@ -180,7 +191,7 @@ class GeneratedTheory(Record):
             id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
             for p in self.propositions
         }
-        return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in self.pairs]))
+        return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in pairs]))
 
     @cached_property
     def constraints(self) -> ConstraintSet:

@@ -20,6 +20,7 @@ from klogic import (
     eval_classical,
     is_tautology,
     parse,
+    render,
     truth_table,
     valuation_at,
 )
@@ -128,6 +129,21 @@ def test_constraint_set_rejects_modal_members():
         ConstraintSet((parse("K(p)"),))
     assert str(exc.value) == (
         "formula contains the knowledge operator: K(p) (constraints must be K-free)"
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["!K(p)", "q & !(p | K(p))", "(p -> q) <-> K(K(q))", "true -> !!K(p & q)"]
+)
+def test_constraint_set_finds_k_under_any_connective_and_names_the_first_formula_with_it(text):
+    """The K-free check finds K under every connective, and refuses the
+    first formula that holds one."""
+    members = (parse("!(p & q)"), parse(text), parse("K(q)"))
+    with pytest.raises(ModalOperatorPresent) as exc:
+        ConstraintSet(members)
+    assert str(exc.value) == (
+        f"formula contains the knowledge operator: {render(members[1])} "
+        "(constraints must be K-free)"
     )
 
 

@@ -128,6 +128,11 @@ def _narrow_decl(tmp_path, n: int) -> str:
     return str(path)
 
 
+def _knows_every_atom(n: int) -> str:
+    """A query that reaches every atom of `_narrow_decl(tmp_path, n)`."""
+    return " | ".join(f"K({a}{i})" for i in range(n) for a, _ in _NARROW)
+
+
 def _refuse(*args):
     raise AssertionError("the command called a function it must not call")
 
@@ -143,7 +148,7 @@ _CEILING = (
     [
         (
             3,
-            ("quantum", "DECL", "--check", "K(m0)"),
+            ("quantum", "DECL", "--check", "EVERY"),
             "6 atoms gives 2^(2^6) candidate cells (the search space grows as 2^(2^n)); "
             "the modal atom limit is 4 (raise it explicitly to accept the cost)",
         ),
@@ -153,18 +158,33 @@ _CEILING = (
             "18 atoms would enumerate 2^18 valuations; "
             "the limit is 16 (raise it explicitly to proceed)",
         ),
-        (13, ("quantum", "DECL", "--check", "K(m0)", "--atom-limit", "30"), _CEILING),
+        (13, ("quantum", "DECL", "--check", "EVERY", "--atom-limit", "30"), _CEILING),
         (13, ("table", "m0 & x0", "--quantum", "DECL", "--atom-limit", "30"), _CEILING),
+        (
+            3,
+            ("quantum", "DECL", "--check", "K(m0) | K(m1) | K(m2) | K(x0) | K(x1)"),
+            "6 atoms gives 2^(2^6) candidate cells (the search space grows as 2^(2^n)); "
+            "the modal atom limit is 4 (raise it explicitly to accept the cost)",
+        ),
     ],
-    ids=["quantum-check", "table-quantum", "quantum-check-ceiling", "table-quantum-ceiling"],
+    ids=[
+        "quantum-check",
+        "table-quantum",
+        "quantum-check-ceiling",
+        "table-quantum-ceiling",
+        "quantum-check-query-too-wide",
+    ],
 )
 def test_over_limit_quantum_commands_build_no_axiom_or_constraint(
     capsys, monkeypatch, tmp_path, n, argv, error
 ):
     """The atom limit, and past a raised limit the column ceiling, are asked
-    of the pairs' atom names before any node is built, and the message is
-    the engine's own."""
+    before any node is built, and the message is the engine's own: of the
+    pairs' atom names for a table, of the query's atoms for a check (EVERY
+    is a query that reaches every atom of the file).  A check's refusal
+    counts every atom of the file and the query, as the engine's does."""
     decl = _narrow_decl(tmp_path, n)
+    argv = [{"DECL": decl, "EVERY": _knows_every_atom(n)}.get(a, a) for a in argv]
     decls = load_declarations(decl)
     generated = quantum.generate(decls.propositions, decls.config)
     limit = {"atom_limit": int(argv[-1])} if "--atom-limit" in argv else {}
@@ -176,8 +196,62 @@ def test_over_limit_quantum_commands_build_no_axiom_or_constraint(
     assert str(engine.value) == error
     monkeypatch.setattr(quantum.GeneratedTheory, "axioms", property(_refuse))
     monkeypatch.setattr(quantum.GeneratedTheory, "constraints", property(_refuse))
-    code, out, err = run_cli(capsys, *[decl if a == "DECL" else a for a in argv])
+    monkeypatch.setattr(quantum.GeneratedTheory, "axioms_within", _refuse)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (EXIT_ERROR, "", f"error: {error}\n")
+
+
+_QUERY25 = " | ".join(f"a{i}" for i in range(25))
+
+
+@pytest.mark.parametrize(
+    "query, axiom, limit, error",
+    [
+        (
+            "a | b | c | d | e",
+            "K(f) -> a",
+            4,
+            "6 atoms gives 2^(2^6) candidate cells (the search space grows as 2^(2^n)); "
+            "the modal atom limit is 4 (raise it explicitly to accept the cost)",
+        ),
+        (
+            _QUERY25,
+            " | ".join(f"K(b{i})" for i in range(10)),
+            30,
+            "35 atoms gives 2^(2^35) candidate cells (the search space grows as 2^(2^n)); "
+            "the modal atom limit is 30 (raise it explicitly to accept the cost)",
+        ),
+        (_QUERY25, "K(b0) -> a0", 30, _CEILING),
+    ],
+    ids=["limit", "limit-past-the-ceiling", "ceiling"],
+)
+def test_a_query_too_wide_to_search_is_refused_as_a_search_over_every_atom(
+    capsys, tmp_path, query, axiom, limit, error
+):
+    """The query alone passes the limit or the column ceiling, and the
+    refusal is the one a search over the atoms of the query and the whole
+    theory gets, as if every atom were searched."""
+    theory = tmp_path / "theory.txt"
+    theory.write_text(axiom + "\n", encoding="utf-8")
+    argv = ("check", query, "--theory", str(theory), "--atom-limit", str(limit))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {error}\n")
+
+
+def test_a_query_over_fewer_atoms_than_its_file_is_answered_with_a_padded_model(
+    capsys, monkeypatch, tmp_path
+):
+    """K(m0) reaches one atom of a 3x3 file: every axiom over another atom
+    folds to true, so only the axioms within m0 are built (none), the
+    search covers m0 alone, and the countermodel is padded to the file's
+    six atoms."""
+    monkeypatch.setattr(quantum.GeneratedTheory, "axioms", property(_refuse))
+    code, out, err = run_cli(capsys, "quantum", _narrow_decl(tmp_path, 3), "--check", "K(m0)")
+    assert (code, err) == (EXIT_NEGATIVE, "")
+    assert out == (
+        "INVALID\ncountermodel:\n  atoms: m0 m1 m2 x0 x1 x2\n"
+        "  world 0: 0 0 0 0 0 0  [designated]\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,9 @@ from klogic import (
     parse,
     valuation_at,
 )
-from klogic.epistemic import _model_from_mask
+from klogic import epistemic
+from klogic.classical import DEFAULT_MODAL_ATOM_LIMIT
+from klogic.epistemic import _model_from_mask, _reduce
 from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
 from test_syntax import formulas as any_formulas
@@ -262,20 +264,23 @@ def test_model_from_mask_matches_a_bit_by_bit_construction():
         assert _model_from_mask(names, mask, designated) == expected
 
 
-def _assert_first_model_matches_reference(f, axioms):
-    """`is_satisfiable` agrees with the literal first-model search on the
-    verdict, every world of the cell and the designated index."""
+def _assert_first_model_matches_reference(f, axioms, check=is_satisfiable):
+    """`is_satisfiable`, or `is_valid` (whose countermodel is a model of !f),
+    agrees with the literal first-model search on the verdict, every world
+    of the cell and the designated index."""
     names = tuple(sorted(set(atoms(f)).union(*map(atoms, axioms))))
     if not names:
         return
-    expected = oracle_first_model(f, axioms, names)
-    result = is_satisfiable(f, Theory(axioms))
+    expected = oracle_first_model(f if check is is_satisfiable else Not(f), axioms, names)
+    result = check(f, Theory(axioms))
     if expected is None:
-        assert result.verdict is Verdict.UNSATISFIABLE, f
+        assert result.verdict in (Verdict.UNSATISFIABLE, Verdict.VALID), f
+        assert result.holds is (check is is_valid), f
         return
     worlds, designated = expected
     m = result.model
-    assert result.verdict is Verdict.SATISFIABLE, f
+    assert result.verdict in (Verdict.SATISFIABLE, Verdict.INVALID), f
+    assert result.holds is (check is is_satisfiable), f
     assert [v.as_dict() for v in m.cell] == list(worlds), f
     assert m.designated == designated, f
 
@@ -304,6 +309,74 @@ def test_engine_matches_reference_on_every_formula_of_five_nodes(theory):
     axioms = (parse(theory),) if theory else ()
     for f in formulas:
         _assert_first_model_matches_reference(f, axioms)
+
+
+def _k_formulas(names: list[str], max_leaves: int) -> st.SearchStrategy:
+    leaves = st.sampled_from([*map(Var, names * 2), Top(), Bottom()])
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(Know, sub) | st.builds(Not, sub) | st.builds(And, sub, sub)
+        | st.builds(Or, sub, sub) | st.builds(Implies, sub, sub) | st.builds(Iff, sub, sub),
+        max_leaves=max_leaves,
+    )
+
+
+# Queries over a or b or both, nested K included.  Each theory reaches c or
+# d or both, often through K of an atom outside the query, which folds to
+# false since a cell is non-empty; so a query and its theory span 2-4 atoms.
+_reach_queries = _k_formulas(["a", "b"], 4).filter(atoms)
+_any_axiom = _k_formulas(["a", "b", "c", "d"], 3)
+_outside = st.sampled_from([Var("c"), Var("d")])
+_reaching_axiom = (
+    st.builds(lambda x, g: Implies(Know(x), g), _outside, _any_axiom)
+    | st.builds(lambda x, g: Or(g, Know(x)), _outside, _any_axiom)
+    | st.builds(lambda x, g: Know(Or(x, g)), _outside, _any_axiom)
+    | st.builds(lambda x, g: Iff(x, g), _outside, _any_axiom)
+)
+_reach_axioms = st.builds(
+    lambda first, rest: (first, *rest), _reaching_axiom, st.lists(_any_axiom, max_size=1)
+)
+
+
+# The reference takes seconds on a 4-atom UNSAT case, so the draw is fixed
+# and the test takes the same few seconds on every run.
+@given(_reach_queries, _reach_axioms)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_reduced_search_matches_the_reference_over_every_atom(f, axioms):
+    """The search covers only the atoms a query reaches, yet `is_satisfiable`
+    and `is_valid` return the first model over every atom of the query and
+    the theory, as the literal search over all of them finds it."""
+    _assert_first_model_matches_reference(f, axioms)
+    _assert_first_model_matches_reference(f, axioms, is_valid)
+
+
+def test_an_axiom_dropped_first_is_kept_once_another_brings_its_atom_into_the_search():
+    """With Q = {a}, `K(b) -> c` folds to true (K(b) is false) and is dropped;
+    `a | b` is kept and brings b into Q, so the first axiom is folded again,
+    is kept, and brings c.  `K(b) & K(d) -> a` is folded again too, but K(d)
+    still folds to false, so it stays dropped and d stays out of Q."""
+    f = parse("K(!a)")
+    axioms = (parse("K(b) -> c"), parse("K(b) & K(d) -> a"), parse("a | b"))
+    names, kept, padded = _reduce(f, axioms, (), DEFAULT_MODAL_ATOM_LIMIT)
+    assert (names, kept, padded) == (("a", "b", "c"), [axioms[0], axioms[2]], ("a", "b", "c", "d"))
+    # K(!a) needs b, so K(b), at every world, and then c: without the second
+    # look the model would leave c false.
+    result = is_satisfiable(f, Theory(axioms))
+    assert result.model.designated_world.as_dict() == {"a": False, "b": True, "c": True, "d": False}
+    _assert_first_model_matches_reference(f, axioms)
+
+
+def test_the_reduction_stops_once_the_search_passes_the_atom_limit(monkeypatch):
+    """Each axiom b_i folds to false and brings b_i into Q; the fifth atom is
+    refused at once, and the refusal counts every atom of query and theory."""
+    folds = []
+    fold = epistemic._fold
+    monkeypatch.setattr(epistemic, "_fold", lambda *args: folds.append(args[0]) or fold(*args))
+    theory = Theory(tuple(Var(f"b{i}") for i in range(1000)))
+    with pytest.raises(AtomLimitExceeded) as exc:
+        is_satisfiable(Var("a"), theory)
+    assert str(exc.value).startswith("1001 atoms gives 2^(2^1001) candidate cells")
+    assert folds == [Var("b0"), Var("b1"), Var("b2"), Var("b3")]
 
 
 @given(any_formulas)

@@ -34,8 +34,11 @@ from klogic import (
     PhysicsConfig,
     Theory,
     Var,
+    atoms,
     compatible,
     generate,
+    is_satisfiable,
+    is_valid,
     merge,
     parse,
     render,
@@ -540,29 +543,52 @@ def _known(name: str) -> Know:
     return Know(Var(name))
 
 
-# K(atom), twice as likely as a plain atom, and the connectives; m1 or x1 is
-# an undeclared atom in a file with one momentum or one position.
-_graph_atoms = st.sampled_from(["m0", "m1", "x0", "x1"])
-_graph_queries = st.recursive(
-    st.builds(Var, _graph_atoms) | st.builds(_known, _graph_atoms) | st.builds(_known, _graph_atoms),
-    lambda sub: st.builds(Not, sub) | st.builds(And, sub, sub) | st.builds(Or, sub, sub)
-    | st.builds(Implies, sub, sub) | st.builds(Iff, sub, sub),
-    max_leaves=6,
-)
 # Products of these widths fall below, at and above the bound 1/2.
-_graph_widths = st.lists(
-    st.sampled_from([Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)]), min_size=1, max_size=2
-)
+_graph_width = st.sampled_from([Fraction(1, 6), Fraction(1, 2), Fraction(1), Fraction(3)])
+
+
+@st.composite
+def _graph_cases(draw):
+    """Widths of up to 60 momenta and 60 positions, and a query over at most
+    four of their atoms, or of the one undeclared momentum and position past
+    them: K(atom), twice as likely as a plain atom, and the connectives."""
+    # Sizes are drawn first: hypothesis keeps a list's own length short.
+    momenta = [draw(_graph_width) for _ in range(draw(st.integers(1, 60)))]
+    positions = [draw(_graph_width) for _ in range(draw(st.integers(1, 60)))]
+    pool = [f"m{i}" for i in range(len(momenta) + 1)] + [f"x{i}" for i in range(len(positions) + 1)]
+    k = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+
+    def leaf(names):
+        return st.builds(Var, names) | st.builds(_known, names) | st.builds(_known, names)
+
+    binary = st.sampled_from([And, Or, Implies, Iff])
+    f = draw(st.recursive(
+        leaf(st.sampled_from(names)),
+        lambda sub: st.builds(Not, sub) | st.builds(lambda op, l, r: op(l, r), binary, sub, sub),
+        max_leaves=6,
+    ))
+    for name in names:  # so that the query reaches every drawn atom
+        if name not in atoms(f):
+            f = draw(binary)(f, draw(leaf(st.just(name))))
+    return momenta, positions, f
+
+
 _narrow = [Fraction(1, 6), Fraction(1, 6)]
 
 
-@given(_graph_widths, _graph_widths, st.sampled_from(["sat", "valid"]), _graph_queries)
-@example(_narrow, _narrow, "sat", parse("K(m0) & (K(x0) | K(x1))"))
-@example(_narrow, _narrow, "valid", parse("K(m0) | K(m1) -> !K(x0) & !K(x1)"))
+@given(_graph_cases(), st.sampled_from(["sat", "valid"]))
+@example((_narrow, _narrow, parse("K(m0) & (K(x0) | K(x1))")), "sat")
+@example((_narrow, _narrow, parse("K(m0) | K(m1) -> !K(x0) & !K(x1)")), "valid")
+@example((_narrow * 30, _narrow * 30, parse("K(m59) & (K(x0) | K(x59))")), "sat")
+@example((_narrow * 30, _narrow * 30, parse("K(m0) & K(x59) | K(m59) & !x0")), "sat")
 @settings(max_examples=40, deadline=None)  # a 4-atom VALID or UNSAT answer takes about 1 s
-def test_quantum_check_matches_the_graph_reference(tmp_path_factory, momenta, positions, mode, f):
-    """`quantum --check` over at most 4 atoms answers as the incompatibility
-    graph does, and every model it returns satisfies the axioms and the query."""
+def test_quantum_check_matches_the_graph_reference(tmp_path_factory, case, mode):
+    """`quantum --check` at the default atom limit, on a file of up to 60x60
+    propositions, answers a query over at most 4 atoms as the
+    incompatibility graph does, and every model it returns satisfies the
+    axioms and the query."""
+    momenta, positions, f = case
     props = tuple(IntervalProposition(f"m{i}", MOM, 0, w) for i, w in enumerate(momenta)) + tuple(
         IntervalProposition(f"x{i}", POS, 0, w) for i, w in enumerate(positions)
     )
@@ -587,8 +613,27 @@ def test_quantum_check_matches_the_graph_reference(tmp_path_factory, momenta, po
     model = check.get("model") or check.get("countermodel")
     assert (model is not None) == found
     if model is not None:
+        # Padded to every atom of the query and the axioms, searched or not.
+        assert model["atoms"] == sorted({a for pair in pairs for a in pair}.union(atoms(f)))
         worlds = [dict(zip(model["atoms"], map(bool, bits))) for bits in model["worlds"]]
         assert oracle_eval_modal(target, worlds, model["designated"])
         for m, x in pairs:
             axiom = Implies(_known(m), Not(_known(x)))
             assert all(oracle_eval_modal(axiom, worlds, i) for i in range(len(worlds)))
+
+
+def test_a_check_needs_only_the_axioms_within_its_query_atoms():
+    """On a 60x60 file, a query over m0, x0 and x1 is answered from the
+    axioms of its own pairs, padded with the file's atoms, exactly as from
+    all 3600 axioms; `axioms_within` builds those pairs' axioms alone."""
+    props = tuple(IntervalProposition(f"m{i}", MOM, 0, Fraction(1, 6)) for i in range(60)) + tuple(
+        IntervalProposition(f"x{i}", POS, 0, Fraction(1, 6)) for i in range(60)
+    )
+    generated = generate(props)
+    f = parse("K(m0) & (K(x0) | K(x1))")
+    within = generated.axioms_within(set(atoms(f)))
+    assert [render(a) for a in within.axioms] == ["K(m0) -> !K(x0)", "K(m0) -> !K(x1)"]
+    for g in (f, parse("K(m0) | !x1"), parse("K(x1) -> K(m0)")):
+        for check in (is_satisfiable, is_valid):
+            expected = check(g, generated.axioms)
+            assert check(g, within, extra_atoms=generated.atom_names()) == expected, (g, check)
