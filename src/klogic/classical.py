@@ -8,7 +8,11 @@ results are reproducible bit for bit.
 Formulas are evaluated as columns: a column over n atoms is a 2^n-bit
 integer whose bit i is the formula's truth value at canonical valuation i.
 `_columns` builds the full column and one column per atom, and `_truth`
-combines them with the connectives.  A column costs 2^n bits, so each atom
+combines them with the connectives.  The modal engine asks `_truth` of a
+cell, a subset of the full column; every value `_truth` returns lies within
+the cell it is given, so a complement is an exclusive or with the cell.
+`_truth` tells nodes apart by exact type and refuses any other type, a
+subclass of a node type included.  A column costs 2^n bits, so each atom
 limit also asks `_column_atoms`, which refuses more than MAX_COLUMN_ATOMS.
 Tautology, equivalence and K-free modal checks all ask `_first_valuation`
 for the first valuation where a list of K-free formulas holds.
@@ -118,34 +122,40 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     """The set of worlds of `cell` where f holds, as a bitmask.
 
     Bit j of `cell` and of each atom's mask stands for world j; K(g) holds
-    at every world of the cell when g does, and at none otherwise.
+    at every world of the cell when g does, and at none otherwise.  Every
+    result lies within `cell` (an atom's mask is cut to it, true is the
+    cell, K is the cell or nothing), so `cell ^ x` is the complement of x.
+    Nodes are told apart by exact type: any other type, a subclass of a
+    node type included, raises TypeError.  Atoms skip `cache`, which holds
+    the other nodes evaluated on this cell and these masks.
     """
+    t = type(f)
+    if t is Var:
+        return masks[f.name] & cell
     hit = cache.get(f)
     if hit is not None:
         return hit
-    if isinstance(f, Top):
-        r = cell
-    elif isinstance(f, Bottom):
-        r = 0
-    elif isinstance(f, Var):
-        r = masks[f.name] & cell
-    elif isinstance(f, Not):
-        r = cell & ~_truth(f.operand, cell, masks, cache)
-    elif isinstance(f, And):
-        r = _truth(f.left, cell, masks, cache) & _truth(f.right, cell, masks, cache)
-    elif isinstance(f, Or):
-        r = _truth(f.left, cell, masks, cache) | _truth(f.right, cell, masks, cache)
-    elif isinstance(f, Implies):
-        r = (cell & ~_truth(f.left, cell, masks, cache)) | _truth(
-            f.right, cell, masks, cache
-        )
-    elif isinstance(f, Iff):
-        r = cell & ~(
-            _truth(f.left, cell, masks, cache) ^ _truth(f.right, cell, masks, cache)
-        )
-    else:
-        assert isinstance(f, Know)
+    if t is Know:
         r = cell if _truth(f.operand, cell, masks, cache) == cell else 0
+    elif t is Not:
+        r = cell ^ _truth(f.operand, cell, masks, cache)
+    elif t is And:
+        r = _truth(f.left, cell, masks, cache) & _truth(f.right, cell, masks, cache)
+    elif t is Or:
+        r = _truth(f.left, cell, masks, cache) | _truth(f.right, cell, masks, cache)
+    elif t is Implies:
+        r = (cell ^ _truth(f.left, cell, masks, cache)) | _truth(f.right, cell, masks, cache)
+    elif t is Iff:
+        r = cell ^ _truth(f.left, cell, masks, cache) ^ _truth(f.right, cell, masks, cache)
+    elif t is Top:
+        r = cell
+    elif t is Bottom:
+        r = 0
+    else:
+        raise TypeError(
+            f"cannot evaluate a {t.__name__} node: klogic evaluates its own node types, "
+            "not their subclasses"
+        )
     cache[f] = r
     return r
 

@@ -30,7 +30,7 @@ limit per level on Python 3.10 and 3.11 (331 levels fit under the default
 limit of 1000), fewer on later versions; printing and evaluation count
 one.  So 200 levels keep them under the default limit.
 `parse` itself does not recurse and refuses deeper input with a ParseError;
-hashing does not recurse either (see Formula).
+hashing, `subformulas` and `atoms` do not recurse either (see Formula).
 """
 
 from __future__ import annotations
@@ -317,14 +317,24 @@ def render(f: Formula) -> str:
     return _render(f, 0)
 
 
+_UNARY = (Not, Know)
+_BINARY = (And, Or, Implies, Iff)
+
+
 def subformulas(f: Formula) -> Iterator[Formula]:
-    """Depth-first iterator over f and all its subterms."""
-    yield f
-    if isinstance(f, (Not, Know)):
-        yield from subformulas(f.operand)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    """Depth-first iterator over f and all its subterms, each node before
+    its operands and a left operand before a right one.  It keeps its own
+    stack, so any depth fits under the recursion limit."""
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        yield g
+        if isinstance(g, _UNARY):
+            push(g.operand)
+        elif isinstance(g, _BINARY):
+            push(g.right)
+            push(g.left)
 
 
 def atoms(f: Formula) -> tuple[str, ...]:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klogic import (
+    And,
     AtomLimitExceeded,
     ConstraintSet,
+    Formula,
     ModalOperatorPresent,
     Or,
     Theory,
@@ -24,10 +26,10 @@ from klogic import (
     truth_table,
     valuation_at,
 )
-from klogic.classical import _columns
-from oracles import canonical_worlds, oracle_eval
+from klogic.classical import _columns, _truth
+from oracles import canonical_worlds, oracle_eval, oracle_eval_modal
 
-from test_syntax import atom_names
+from test_syntax import atom_names, formulas as any_formulas
 
 kfree_formulas = st.recursive(
     st.one_of(
@@ -113,6 +115,32 @@ def test_doubled_columns_match_canonical_valuations():
         for i in range(1 << n):
             bits = tuple(bool(masks[a] >> i & 1) for a in names)
             assert bits == valuation_at(names, i).bits
+
+
+@given(any_formulas, st.data())
+@settings(max_examples=200)
+def test_truth_stays_within_the_cell_and_matches_the_reference_at_every_world(f, data):
+    """Atom masks carry bits outside the cell, as a column over every
+    valuation does when a cell is a subset of it."""
+    width = data.draw(st.integers(1, 8))
+    cell = data.draw(st.integers(1, (1 << width) - 1))
+    masks = {a: data.draw(st.integers(0, (1 << width) - 1)) for a in atoms(f)}
+    result = _truth(f, cell, masks, {})
+    assert result & ~cell == 0
+    worlds_at = [j for j in range(width) if cell >> j & 1]
+    worlds = [{a: bool(m >> j & 1) for a, m in masks.items()} for j in worlds_at]
+    for i, j in enumerate(worlds_at):
+        assert bool(result >> j & 1) == oracle_eval_modal(f, worlds, i)
+
+
+class _Conjunction(And):
+    pass
+
+
+@pytest.mark.parametrize("node", [Formula(), _Conjunction(Var("p"), Var("q"))])
+def test_truth_refuses_any_other_node_type_by_name(node):
+    with pytest.raises(TypeError, match=f"cannot evaluate a {type(node).__name__} node"):
+        _truth(node, 1, {"p": 1, "q": 1}, {})
 
 
 def test_eval_classical_rejects_modal_formulas_everywhere():

@@ -281,6 +281,30 @@ def test_deep_formulas_with_differing_hashes_compare_without_recursing():
     assert _api_chain(5000, "a") != _api_chain(5000, "b")
 
 
+def test_subformulas_and_atoms_of_a_deep_api_formula_do_not_recurse():
+    f = _api_chain(5000, "a")
+    nodes = list(subformulas(f))
+    # 833 rounds of six wrappers add ten nodes each; then `!`, `K` and the leaf.
+    assert len(nodes) == 833 * 10 + 3
+    assert nodes[0] is f
+    assert atoms(f) == ("a", "p", "q")
+
+
+def _pre_order(f) -> list:
+    """Every node of f, each before its operands, left before right."""
+    nodes = [f]
+    if isinstance(f, (Not, Know)):
+        nodes += _pre_order(f.operand)
+    elif isinstance(f, (And, Or, Implies, Iff)):
+        nodes += _pre_order(f.left) + _pre_order(f.right)
+    return nodes
+
+
+@given(formulas)
+def test_subformulas_walk_in_pre_order(f):
+    assert list(map(id, subformulas(f))) == list(map(id, _pre_order(f)))
+
+
 def test_formulas_unpickled_in_another_process_hash_as_built_there():
     def run(code: str, seed: str, data: bytes = b"") -> bytes:
         env = {**os.environ, "PYTHONHASHSEED": seed}
