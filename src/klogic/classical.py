@@ -11,9 +11,11 @@ integer whose bit i is the formula's truth value at canonical valuation i.
 combines them with the connectives.  The modal engine asks `_truth` of a
 cell, a subset of the full column; every value `_truth` returns lies within
 the cell it is given, so a complement is an exclusive or with the cell.
-`_truth` tells nodes apart by exact type and refuses any other type, a
-subclass of a node type included.  A column costs 2^n bits, so each atom
-limit also asks `_column_atoms`, which refuses more than MAX_COLUMN_ATOMS.
+`_truth` tells nodes apart by exact type and refuses any other type (the
+node types are closed; see `syntax.Formula`).  `_within_limits` words
+every atom limit, the modal engine's included, and since a column costs
+2^n bits it also refuses more than MAX_COLUMN_ATOMS atoms, whatever the
+limit.
 Tautology, equivalence and K-free modal checks all ask `_first_valuation`
 for the first valuation where a list of K-free formulas holds.
 """
@@ -125,8 +127,8 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     at every world of the cell when g does, and at none otherwise.  Every
     result lies within `cell` (an atom's mask is cut to it, true is the
     cell, K is the cell or nothing), so `cell ^ x` is the complement of x.
-    Nodes are told apart by exact type: any other type, a subclass of a
-    node type included, raises TypeError.  Atoms skip `cache`, which holds
+    Nodes are told apart by exact type: any other type, such as a bare
+    `Formula`, raises TypeError.  Atoms skip `cache`, which holds
     the other nodes evaluated on this cell and these masks.
     """
     t = type(f)
@@ -152,10 +154,7 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     elif t is Bottom:
         r = 0
     else:
-        raise TypeError(
-            f"cannot evaluate a {t.__name__} node: klogic evaluates its own node types, "
-            "not their subclasses"
-        )
+        raise TypeError(f"cannot evaluate a {t.__name__} node: not one of klogic's node types")
     cache[f] = r
     return r
 
@@ -233,35 +232,43 @@ def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
             )
 
 
-def _column_atoms(names: set[str]) -> tuple[str, ...]:
-    """The names sorted, or the column ceiling's refusal, whatever the atom limit."""
-    n = len(names)
-    if n > MAX_COLUMN_ATOMS:
+def _within_limits(
+    searched: set[str], every: set[str], atom_limit: int, cells: bool
+) -> tuple[str, ...]:
+    """The `searched` atoms sorted, or, when they pass the atom limit or the
+    column ceiling, the refusal a search over `every` (the atoms the answer
+    is over, `searched` among them) gets: the limit's, counting 2^(2^n)
+    modal cells if `cells` (a power, never in decimal) and 2^n valuations
+    otherwise, then the ceiling's.  Asked of atom names before any node exists."""
+    n = len(searched)
+    if n <= atom_limit and n <= MAX_COLUMN_ATOMS:
+        return tuple(sorted(searched))
+    n = len(every)
+    if n > atom_limit and cells:
         raise AtomLimitExceeded(
-            f"{n} atoms would need truth columns of 2^{n} bits each; "
-            f"at most {MAX_COLUMN_ATOMS} atoms can be evaluated, whatever the atom limit"
+            f"{n} atoms gives 2^(2^{n}) candidate cells (the search space grows "
+            f"as 2^(2^n)); the modal atom limit is {atom_limit} "
+            f"(raise it explicitly to accept the cost)"
         )
-    return tuple(sorted(names))
-
-
-def _table_atoms(names: set[str], atom_limit: int) -> tuple[str, ...]:
-    """The names sorted, or the classical atom limit's refusal, then the ceiling's;
-    callers ask it before they build the formulas the names come from."""
-    n = len(names)
     if n > atom_limit:
         raise AtomLimitExceeded(
             f"{n} atoms would enumerate 2^{n} valuations; "
             f"the limit is {atom_limit} (raise it explicitly to proceed)"
         )
-    return _column_atoms(names)
+    raise AtomLimitExceeded(
+        f"{n} atoms would need truth columns of 2^{n} bits each; "
+        f"at most {MAX_COLUMN_ATOMS} atoms can be evaluated, whatever the atom limit"
+    )
 
 
 def _prepare(
     formulas: Sequence[Formula], constraints: ConstraintSet, atom_limit: int
 ) -> tuple[str, ...]:
-    """The sorted atoms of a K-free query; see `_table_atoms`."""
+    """The sorted atoms of a K-free query, which searches them all; see
+    `_within_limits`."""
     _require_k_free(formulas)
-    return _table_atoms(constraints.atom_names().union(*map(atoms, formulas)), atom_limit)
+    names = constraints.atom_names().union(*map(atoms, formulas))
+    return _within_limits(names, names, atom_limit, cells=False)
 
 
 def _first(column: int) -> int:

@@ -13,9 +13,9 @@ canonical enumeration order makes every reported model reproducible.
 Each command has one report, the dict that `--format json` prints.  The
 text of `check` and `demo` is rendered from it; `table` and `quantum` write
 theirs from the data it is built from: a `TruthTable`, and `quantum.generate`'s
-pairs.  A table's atoms meet every limit before any constraint is built; a
-check's query atoms meet them before any axiom is, and it builds only the
-axioms of the pairs inside them.
+pairs.  `classical._within_limits` asks every limit: of a table's atoms
+before any constraint is built, and of a check's query atoms before any
+axiom is; the check then builds only the axioms of the pairs inside them.
 
 Start-up is most of a run, so each command imports the layers it uses when
 it runs: `check` and `table` load none of the interval code, and `json` is
@@ -37,7 +37,7 @@ from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     ConstraintSet,
     _require_k_free,
-    _table_atoms,
+    _within_limits,
     truth_table,
 )
 from .errors import LogicError
@@ -183,7 +183,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
         decls = load_declarations(args.quantum)
         generated = generate(decls.propositions, decls.config)
-        _table_atoms(generated.atom_names().union(*map(atoms, formulas)), args.atom_limit)
+        names = generated.atom_names().union(*map(atoms, formulas))
+        _within_limits(names, names, args.atom_limit, cells=False)
         constraints = generated.constraints
     else:
         constraints = ConstraintSet()
@@ -199,7 +200,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_quantum(args: argparse.Namespace) -> int:
     from .declarations import format_declarations, load_declarations
-    from .epistemic import _search_atoms
     from .quantum import generate
     from .quantum_report import _axiom_fields, _axiom_lines, _axioms_slot, _proposition_json
 
@@ -210,7 +210,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
     if args.check is not None:
         f = parse(args.check)
         reached, every = set(atoms(f)), generated.atom_names()
-        _search_atoms(reached, every | reached, args.atom_limit)  # before any axiom node is built
+        _within_limits(reached, every | reached, args.atom_limit, cells=True)  # before any axiom
         theory = generated.axioms_within(reached)
         result = _run_query(f, theory, args.mode, args.atom_limit, every)
         check = {"formula": render(f), "mode": args.mode, **_check_json(result)}

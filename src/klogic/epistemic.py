@@ -41,18 +41,16 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .errors import AtomLimitExceeded
 from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, atoms, modal_depth
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
-    MAX_COLUMN_ATOMS,
     Valuation,
-    _column_atoms,
     _columns,
     _first,
     _first_valuation,
     _require_assigned,
     _truth,
+    _within_limits,
     valuation_at,
 )
 
@@ -207,14 +205,15 @@ def _reduce(
     `extra_atoms`, sorted, which the model is padded to.
 
     See the module docstring for the rule: a pass over the axioms not yet
-    kept repeats while Q grows.  The limits are asked of f's atoms before
-    any fold and of Q each time it grows, so the reduction stops as soon as
-    Q passes one, with the refusal a search over every atom would get.
+    kept repeats while Q grows.  `classical._within_limits` asks the modal
+    limit and the column ceiling of f's atoms before any fold and of Q each
+    time it grows, so the reduction stops as soon as Q passes one, with the
+    refusal a search over every atom would get.
     """
     q = set(atoms(f))
     axiom_atoms = [set(atoms(a)) for a in axioms]
     every = q.union(extra_atoms, *axiom_atoms)
-    _search_atoms(q, every, atom_limit)  # a query too wide is refused before any fold
+    _within_limits(q, every, atom_limit, cells=True)  # before any fold
     kept = [False] * len(axioms)
     grew = True
     while grew:
@@ -228,10 +227,9 @@ def _reduce(
             kept[i] = True
             if outside:
                 q |= outside
-                _search_atoms(q, every, atom_limit)
+                _within_limits(q, every, atom_limit, cells=True)
                 grew, cache = True, {}
-    searched = _search_atoms(q, every, atom_limit)
-    return searched, [a for a, k in zip(axioms, kept) if k], tuple(sorted(every))
+    return tuple(sorted(q)), [a for a, k in zip(axioms, kept) if k], tuple(sorted(every))
 
 
 def _first_model(
@@ -254,25 +252,6 @@ def _first_model(
     return None
 
 
-def _search_atoms(searched: set[str], every: set[str], atom_limit: int) -> tuple[str, ...]:
-    """The atoms a search covers, sorted, when the modal limit and the column
-    ceiling allow them; otherwise the refusal a search over `every`, the
-    atoms the model would be over, gets: the limit's (its cell count written
-    as a power, never in decimal), then the ceiling's.  `_reduce` asks it
-    before any fold, and `quantum --check` before it builds any axiom."""
-    n = len(searched)
-    if n > atom_limit or n > MAX_COLUMN_ATOMS:
-        total = len(every)
-        if total > atom_limit:
-            raise AtomLimitExceeded(
-                f"{total} atoms gives 2^(2^{total}) candidate cells (the search space grows "
-                f"as 2^(2^n)); the modal atom limit is {atom_limit} "
-                f"(raise it explicitly to accept the cost)"
-            )
-        _column_atoms(every)  # refuses, as every holds searched
-    return tuple(sorted(searched))
-
-
 def is_satisfiable(
     f: Formula,
     theory: Theory = Theory(),
@@ -283,7 +262,8 @@ def is_satisfiable(
     designated world?  Returns the first such model in enumeration order,
     over the atoms of f, the whole theory and `extra_atoms`.  Nothing reads
     an extra atom, so it is false at every world of that model; a caller
-    that leaves out axioms the reduction would drop passes their atoms."""
+    that leaves out axioms the reduction would drop passes their atoms.
+    The atoms searched meet the modal limit in `classical._within_limits`."""
     names, axioms, padded = _reduce(f, theory.axioms, extra_atoms, atom_limit)
     model = _first_model(f, axioms, names)
     if model is None:

@@ -14,12 +14,12 @@ listing costs about what its output does.
 
 `generate` is the one route to formulas: its `GeneratedTheory` finds the
 pairs when built and its axioms, constraints and provenance on first read,
-so an atom limit is asked before any node exists: of the pairs' atoms for a
-table, of the query's atoms for a check, which then builds only the axioms
-`axioms_within` its query's atoms, the only ones its search keeps (see
-`epistemic`).  A proposition's `Var` is built once, and every node of its
-formulas shares it.  `epistemic` is imported when axioms are first built, so
-a process that needs only the constraints loads no modal code.
+so `classical._within_limits` asks an atom limit before any node exists:
+of the pairs' atoms for a table, of the query's atoms for a check, which
+then builds only the axioms `axioms_within` its query's atoms, the only
+ones its search keeps (see `epistemic`).  A proposition's `Var` is built
+once, and every node of its formulas shares it.  `epistemic` is imported
+when axioms are first built, so constraints alone load no modal code.
 
 `ObservableKind` words the refusal of an unknown kind, which a declaration
 file reports at its line.

@@ -63,8 +63,16 @@ class Formula(Record):
     hash and then the fields, so the comparison runs in C and nodes with
     differing hashes are unequal without a look at their subformulas.
     Pickling rebuilds a node through `__init__`, because a stored hash is
-    valid only in the process that computed it.
+    valid only in the process that computed it.  The nine node classes are
+    closed: defining a subclass of one raises TypeError, so no walker can
+    read a node of another class as its base's.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        for base in cls.__bases__:
+            if base is not Formula and issubclass(base, Formula):
+                raise TypeError(f"cannot subclass {base.__name__}: klogic's node types are closed")
+        super().__init_subclass__(**kwargs)
 
     def __init__(self, *args, **kwargs):
         fields = self.__match_args__

@@ -8,11 +8,17 @@ from hypothesis import given, settings, strategies as st
 from klogic import (
     And,
     AtomLimitExceeded,
+    Bottom,
     ConstraintSet,
     Formula,
+    Iff,
+    Implies,
+    Know,
     ModalOperatorPresent,
+    Not,
     Or,
     Theory,
+    Top,
     UnknownAtom,
     Valuation,
     Var,
@@ -133,14 +139,25 @@ def test_truth_stays_within_the_cell_and_matches_the_reference_at_every_world(f,
         assert bool(result >> j & 1) == oracle_eval_modal(f, worlds, i)
 
 
-class _Conjunction(And):
-    pass
-
-
-@pytest.mark.parametrize("node", [Formula(), _Conjunction(Var("p"), Var("q"))])
+@pytest.mark.parametrize("node", [Formula()])
 def test_truth_refuses_any_other_node_type_by_name(node):
     with pytest.raises(TypeError, match=f"cannot evaluate a {type(node).__name__} node"):
         _truth(node, 1, {"p": 1, "q": 1}, {})
+
+
+@pytest.mark.parametrize(
+    "base", [Top, Bottom, Var, Not, And, Or, Implies, Iff, Know], ids=lambda c: c.__name__
+)
+def test_a_subclass_of_any_node_class_is_refused(base):
+    with pytest.raises(TypeError, match=f"^cannot subclass {base.__name__}: "):
+
+        class _Node(base):
+            pass
+
+    # A mixin first in the bases does not get round the refusal.
+    mixin = type("_Mixin", (), {})
+    with pytest.raises(TypeError, match=f"^cannot subclass {base.__name__}: "):
+        type("_Mixed", (mixin, base), {})
 
 
 def test_eval_classical_rejects_modal_formulas_everywhere():
@@ -267,10 +284,25 @@ def test_equivalence_respects_constraints():
 
 def test_atom_limit_is_enforced():
     wide = parse(" | ".join(f"a{i}" for i in range(17)))
-    with pytest.raises(AtomLimitExceeded):
-        truth_table((wide,))
-    with pytest.raises(AtomLimitExceeded):
-        is_tautology(wide)
+    wider = parse(" | ".join(f"a{i}" for i in range(25)))
+    limit = (
+        "17 atoms would enumerate 2^17 valuations; "
+        "the limit is 16 (raise it explicitly to proceed)"
+    )
+    ceiling = (
+        "25 atoms would need truth columns of 2^25 bits each; "
+        "at most 24 atoms can be evaluated, whatever the atom limit"
+    )
+    for f, kwargs, message in ((wide, {}, limit), (wider, {"atom_limit": 25}, ceiling)):
+        with pytest.raises(AtomLimitExceeded) as exc:
+            truth_table((f,), **kwargs)
+        assert str(exc.value) == message
+        with pytest.raises(AtomLimitExceeded) as exc:
+            is_tautology(f, **kwargs)
+        assert str(exc.value) == message
+        with pytest.raises(AtomLimitExceeded) as exc:
+            are_equivalent_under(ConstraintSet(), f, Var("a0"), **kwargs)
+        assert str(exc.value) == message
     assert not is_tautology(wide, atom_limit=17).holds
 
 
