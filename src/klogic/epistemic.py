@@ -17,17 +17,24 @@ only Q), keeps the dropped ones true (they fold to true), and can only
 lower the cell's column.  So the first model has every atom outside Q
 false, and is the first model over Q of the kept axioms.
 
-Search.  A K-free query and kept theory hold or fail at each world alone,
-so their first model is the singleton of the first valuation where all of
-them hold, which `klogic.classical` finds.  A query with K is searched
-exhaustively: with V the 2^|Q| valuations of Q in canonical order, every
-non-empty subset of V is tried as a cell, in ascending order of the cell
-read as a column in the format the `klogic.classical` docstring defines,
-and within a cell, designated worlds in ascending valuation order.  The
-first hit is returned, so repeated queries are reproducible bit for bit.
-In single-agent S5 truth at the designated world depends only on its own
-cell, and duplicate-valuation worlds are redundant, so this enumeration is
-exhaustive up to semantic equivalence.
+Search.  A K-free formula holds or fails at each world alone.  So a
+K-free query and kept theory have as first model the singleton of the
+first valuation where all of them hold, which `klogic.classical` finds.
+Otherwise, with V the 2^|Q| valuations of Q in canonical order, cells are
+tried in ascending order of the cell read as a column in the format the
+`klogic.classical` docstring defines, and within a cell, designated worlds
+in ascending valuation order.  The first hit is returned, so repeated
+queries are reproducible bit for bit.  In single-agent S5 truth at the
+designated world depends only on its own cell, and duplicate-valuation
+worlds are redundant, so this enumeration is exhaustive up to semantic
+equivalence.  One walk over the query and the kept axioms finds each
+maximal K-free subformula other than an atom, and its column over V is
+computed once per search.  The cells tried are the non-empty subsets of
+`allowed`, the valuations where every K-free kept axiom holds: a cell
+with a world outside `allowed` fails such an axiom there, so skipping it
+is exact, and the order among the rest is unchanged.  On each cell only
+the modal axioms and the query are evaluated, over a memo that starts
+with each K-free part's column cut to the cell.
 
 Padding.  Every world of the model found is padded with false to the
 sorted atoms of the query, the whole theory and any extra atoms the caller
@@ -41,7 +48,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, atoms, modal_depth
+from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Or, Top, Var, atoms
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
@@ -232,23 +239,77 @@ def _reduce(
     return tuple(sorted(q)), [a for a, k in zip(axioms, kept) if k], tuple(sorted(every))
 
 
+def _k_free_parts(roots: Sequence[Formula]) -> tuple[list[Formula], dict[int, bool]]:
+    """The maximal K-free subformulas of `roots` other than atoms, each node
+    once, and whether each of their nodes is K-free, keyed by its id.
+
+    One walk with its own stack, dispatching on exact type.  A node is
+    pushed bare, then, once expanded, with its operands, which are pushed
+    above it and so finished before it.  A K-free operand of a node that
+    is not K-free is maximal, as is a K-free root."""
+    free: dict[int, bool] = {}
+    parts: dict[int, Formula] = {}
+    stack: list = [(r, None) for r in roots]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g, below = pop()
+        if below is None:
+            if id(g) in free:
+                continue
+            t = type(g)
+            if t is Not or t is Know:
+                below = (g.operand,)
+            elif t is And or t is Or or t is Implies or t is Iff:
+                below = (g.left, g.right)
+            else:
+                free[id(g)] = True
+                continue
+            push((g, below))
+            for h in below:
+                push((h, None))
+        elif type(g) is not Know and free[id(below[0])] and free[id(below[-1])]:
+            free[id(g)] = True
+        else:
+            free[id(g)] = False
+            for h in below:
+                if free[id(h)] and type(h) is not Var:
+                    parts[id(h)] = h
+    for r in roots:
+        if free[id(r)] and type(r) is not Var:
+            parts[id(r)] = r
+    return list(parts.values()), free
+
+
 def _first_model(
     f: Formula, axioms: Sequence[Formula], names: tuple[str, ...]
 ) -> EpistemicModel | None:
     """First canonical model over `names` of the axioms (globally) satisfying
-    f at the designated world, or None."""
-    if modal_depth(f) == 0 and all(modal_depth(a) == 0 for a in axioms):
+    f at the designated world, or None.  See the module docstring's Search."""
+    parts, free = _k_free_parts([f, *axioms])
+    modal = [a for a in axioms if not free[id(a)]]
+    if free[id(f)] and not modal:
         first = _first_valuation(names, [f, *axioms])
         return None if first is None else EpistemicModel.singleton(first)
 
     full, masks = _columns(names)
-    for cell_mask in range(1, full + 1):
-        cache = {}
-        if any(_truth(a, cell_mask, masks, cache) != cell_mask for a in axioms):
-            continue
-        t = _truth(f, cell_mask, masks, cache)
-        if t:
-            return _model_from_mask(names, cell_mask, _first(t))
+    memo: dict = {}
+    columns = [(id(g), _truth(g, full, masks, memo)) for g in parts]
+    allowed = full
+    for a in axioms:
+        if free[id(a)]:
+            allowed &= _truth(a, full, masks, memo)
+    # The non-empty submasks of `allowed` in ascending order: the step after
+    # `allowed` itself is 0.
+    cell, outside = 0, ~allowed
+    while cell := ((cell | outside) + 1) & allowed:
+        cache = {key: column & cell for key, column in columns}
+        for a in modal:
+            if _truth(a, cell, masks, cache) != cell:
+                break
+        else:
+            t = _truth(f, cell, masks, cache)
+            if t:
+                return _model_from_mask(names, cell, _first(t))
     return None
 
 

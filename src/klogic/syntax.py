@@ -53,25 +53,32 @@ def is_atom_name(name: str) -> bool:
     return bool(_ATOM_RE.match(name)) and name not in RESERVED_WORDS
 
 
+_node_types_closed = False  # set once the nine node classes are defined
+
+
 class Formula(Record):
     """Base class; concrete cases below. Structural equality throughout.
 
     A node's hash is computed once, at construction, from its type and its
     fields, whose subformulas hold theirs already; so hashing never walks a
-    subtree, however deep, and evaluation caches keyed by subformula stay
-    cheap.  Equality compares two nodes' attribute dicts, which hold the
-    hash and then the fields, so the comparison runs in C and nodes with
-    differing hashes are unequal without a look at their subformulas.
-    Pickling rebuilds a node through `__init__`, because a stored hash is
-    valid only in the process that computed it.  The nine node classes are
-    closed: defining a subclass of one raises TypeError, so no walker can
-    read a node of another class as its base's.
+    subtree, however deep, and sets and dicts of formulas (a theory's
+    deduplication, the reduction's fold cache) stay cheap.  The classical
+    evaluator's memo is keyed by node identity instead (see
+    `classical._truth`).  Equality compares two nodes' attribute dicts,
+    which hold the hash and then the fields, so the comparison runs in C
+    and nodes with differing hashes are unequal without a look at their
+    subformulas.  Pickling rebuilds a node through `__init__`, because a
+    stored hash is valid only in the process that computed it.  The node
+    classes are closed: once the nine below are defined, any further
+    subclass, of `Formula` or of one of them, raises TypeError, so every
+    walker may dispatch on exact type and none meets a node it does not
+    know.
     """
 
     def __init_subclass__(cls, **kwargs):
-        for base in cls.__bases__:
-            if base is not Formula and issubclass(base, Formula):
-                raise TypeError(f"cannot subclass {base.__name__}: klogic's node types are closed")
+        if _node_types_closed:
+            base = next(b for b in cls.__bases__ if issubclass(b, Formula))
+            raise TypeError(f"cannot subclass {base.__name__}: klogic's node types are closed")
         super().__init_subclass__(**kwargs)
 
     def __init__(self, *args, **kwargs):
@@ -138,6 +145,9 @@ class Iff(Formula):
 
 class Know(Formula):
     operand: Formula
+
+
+_node_types_closed = True
 
 
 class ParseError(LogicError):

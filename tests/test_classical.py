@@ -146,9 +146,12 @@ def test_truth_refuses_any_other_node_type_by_name(node):
 
 
 @pytest.mark.parametrize(
-    "base", [Top, Bottom, Var, Not, And, Or, Implies, Iff, Know], ids=lambda c: c.__name__
+    "base",
+    [Formula, Top, Bottom, Var, Not, And, Or, Implies, Iff, Know],
+    ids=lambda c: c.__name__,
 )
 def test_a_subclass_of_any_node_class_is_refused(base):
+    """Formula included: the set of node classes is closed once defined."""
     with pytest.raises(TypeError, match=f"^cannot subclass {base.__name__}: "):
 
         class _Node(base):
@@ -158,6 +161,62 @@ def test_a_subclass_of_any_node_class_is_refused(base):
     mixin = type("_Mixin", (), {})
     with pytest.raises(TypeError, match=f"^cannot subclass {base.__name__}: "):
         type("_Mixed", (mixin, base), {})
+
+
+def _introspection_forms():
+    """`!K(p) -> K(!K(p))` with p = (a | b) & c: parsed, with two equal but
+    distinct K(p) nodes, and built around one shared K(p) node."""
+    parsed = parse("!K((a | b) & c) -> K(!K((a | b) & c))")
+    known = Know(And(Or(Var("a"), Var("b")), Var("c")))
+    built = Implies(Not(known), Know(Not(known)))
+    assert parsed == built
+    assert parsed.left.operand == parsed.right.operand.operand
+    assert parsed.left.operand is not parsed.right.operand.operand
+    assert built.left.operand is built.right.operand.operand
+    return parsed, built
+
+
+def test_truth_memo_by_identity_gives_equal_but_distinct_nodes_the_same_value():
+    parsed, built = _introspection_forms()
+    full, masks = _columns(("a", "b", "c"))
+    envs = canonical_worlds(("a", "b", "c"))
+    assert full == 255
+    for cell in range(1, full + 1):
+        shared: dict = {}  # one memo across both forms
+        values = {
+            _truth(parsed, cell, masks, {}),
+            _truth(built, cell, masks, {}),
+            _truth(parsed, cell, masks, shared),
+            _truth(built, cell, masks, shared),
+        }
+        assert len(values) == 1, cell
+        worlds = [env for j, env in enumerate(envs) if cell >> j & 1]
+        (value,) = values
+        assert [bool(value >> j & 1) for j in range(8) if cell >> j & 1] == [
+            oracle_eval_modal(parsed, worlds, i) for i in range(len(worlds))
+        ]
+
+
+def test_a_table_keeps_its_bits_when_equal_subformulas_are_distinct_nodes():
+    """`a | b` appears as three distinct nodes, and `(a | b) & c` as two,
+    across the formulas and the constraints; one memo serves them all."""
+    formulas = (parse("(a | b) & c"), parse("!((a | b) & c)"), parse("a | b"))
+    constraints = ConstraintSet((parse("(a | b) & c -> b"),))
+    table = truth_table(formulas, constraints)
+    assert table.formula_bits == ("00010101", "11101010", "00111111")
+    assert table.constraint_bits == ("11111011",)
+    assert table.excluded == "00000100"
+    shared = Or(Var("a"), Var("b"))
+    conjunction = And(shared, Var("c"))
+    same = truth_table(
+        (conjunction, Not(conjunction), shared),
+        ConstraintSet((Implies(conjunction, Var("b")),)),
+    )
+    assert (same.formula_bits, same.constraint_bits, same.excluded) == (
+        table.formula_bits,
+        table.constraint_bits,
+        table.excluded,
+    )
 
 
 def test_eval_classical_rejects_modal_formulas_everywhere():

@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from klogic import (
     And,
@@ -33,6 +33,7 @@ from klogic import (
     is_valid,
     modal_depth,
     parse,
+    render,
     valuation_at,
 )
 from klogic import epistemic
@@ -40,6 +41,7 @@ from klogic.classical import DEFAULT_MODAL_ATOM_LIMIT
 from klogic.epistemic import _model_from_mask, _reduce
 from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
+from test_classical import _introspection_forms
 from test_syntax import formulas as any_formulas
 
 DEMO_AXIOMS = Theory((parse("K(p) -> !K(q)"), parse("K(p) -> !K(r)")))
@@ -348,6 +350,79 @@ def test_reduced_search_matches_the_reference_over_every_atom(f, axioms):
     the theory, as the literal search over all of them finds it."""
     _assert_first_model_matches_reference(f, axioms)
     _assert_first_model_matches_reference(f, axioms, is_valid)
+
+
+# Theories with at least one K-free and one modal axiom over a-d, and
+# queries over a and b; so a query and its theory span 2-4 atoms, and the
+# cells searched are cut to the valuations the K-free axioms leave.
+_k_free_axiom = _k_formulas(["a", "b", "c", "d"], 3).map(erase_K).filter(atoms)
+_modal_axiom = _k_formulas(["a", "b", "c", "d"], 3).filter(modal_depth)
+_mixed_axioms = st.builds(
+    lambda k_free, modal: (*k_free, *modal),
+    st.lists(_k_free_axiom, min_size=1, max_size=2),
+    st.lists(_modal_axiom, min_size=1, max_size=2),
+)
+
+
+@given(_reach_queries, _mixed_axioms, st.randoms(use_true_random=False))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_a_search_within_the_k_free_axioms_matches_the_reference(f, axioms, rng):
+    """Cells lie within the valuations where every K-free axiom holds, and
+    each K-free part is evaluated once per search; the first model is still
+    the literal search's, over 2-4 atoms, with the axioms in any order."""
+    axioms = tuple(rng.sample(axioms, len(axioms)))
+    assume(len(set(atoms(f)).union(*map(atoms, axioms))) >= 2)
+    _assert_first_model_matches_reference(f, axioms)
+    _assert_first_model_matches_reference(f, axioms, is_valid)
+
+
+def test_validity_does_not_depend_on_whether_equal_subformulas_are_one_node():
+    parsed, built = _introspection_forms()
+    assert is_valid(parsed) == is_valid(built)
+    assert is_valid(parsed).verdict is Verdict.VALID
+    # The converse, K(!K(p)) -> K(p), fails: the same countermodel for both.
+    parsed, built = (Implies(g.right, g.left.operand) for g in (parsed, built))
+    assert is_valid(parsed) == is_valid(built)
+    assert is_valid(parsed).verdict is Verdict.INVALID
+
+
+def test_k_free_axioms_that_leave_no_valuation_leave_no_model():
+    f = parse("K(a) -> K(b)")
+    axioms = (parse("a | b"), parse("K(a) -> !K(b)"), parse("!a"), parse("a <-> b"))
+    assert is_satisfiable(f, Theory(axioms)).verdict is Verdict.UNSATISFIABLE
+    assert is_valid(parse("false"), Theory(axioms)).verdict is Verdict.VALID
+    _assert_first_model_matches_reference(f, axioms)
+
+
+def test_a_chain_of_k_free_axioms_cuts_five_atoms_to_63_cells(monkeypatch):
+    """`a -> b`, ..., `d -> e` leave 6 of the 32 valuations of a-e, so the
+    search tries the 63 non-empty cells within them, where the whole
+    enumeration would try 2^32 - 1."""
+    theory = Theory(
+        (*(parse(f"{x} -> {y}") for x, y in zip("abcd", "bcde")), parse("K(a) -> !K(e)"))
+    )
+    cells = []
+    truth = epistemic._truth
+    monkeypatch.setattr(
+        epistemic, "_truth", lambda g, cell, *rest: cells.append(cell) or truth(g, cell, *rest)
+    )
+    result = is_satisfiable(parse("K(a)"), theory, atom_limit=5)
+    assert result.verdict is Verdict.UNSATISFIABLE
+    allowed = sum(1 << i for i in (0b00000, 0b00001, 0b00011, 0b00111, 0b01111, 0b11111))
+    searched = [c for c in cells if c != (1 << 32) - 1]
+    assert len(set(searched)) == 63
+    assert all(c & ~allowed == 0 for c in searched)
+
+
+def test_the_k_free_walk_finds_each_maximal_k_free_part_other_than_an_atom():
+    f = parse("K((a | b) & c) -> c | !K((a | b) & c) & (a <-> true)")
+    axiom = parse("a -> b")
+    parts, free = epistemic._k_free_parts([f, axiom])
+    # Two equal but distinct `(a | b) & c` nodes, `a <-> true` and the axiom;
+    # `c` is an atom, and the right operand of -> holds K.
+    assert sorted(map(render, parts)) == ["(a | b) & c", "(a | b) & c", "a -> b", "a <-> true"]
+    assert len({id(g) for g in parts}) == 4
+    assert not free[id(f)] and free[id(axiom)]
 
 
 def test_an_axiom_dropped_first_is_kept_once_another_brings_its_atom_into_the_search():
