@@ -18,7 +18,8 @@ every atom limit, the modal engine's included, and since a column costs
 2^n bits it also refuses more than MAX_COLUMN_ATOMS atoms, whatever the
 limit.
 Tautology, equivalence and K-free modal checks all ask `_first_valuation`
-for the first valuation where a list of K-free formulas holds.
+for the index of the first valuation where a list of K-free formulas
+holds; each caller builds its own answer from that index.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .syntax import (
     Top,
     Var,
     atoms,
-    modal_depth,
     render,
 )
 
@@ -231,7 +231,7 @@ def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
     """Refuse the first formula containing K; `why`, if given, is appended
     to the message in parentheses."""
     for f in formulas:
-        if modal_depth(f) != 0:
+        if not f._k_free:
             reason = f" ({why})" if why else ""
             raise ModalOperatorPresent(
                 f"formula contains the knowledge operator: {render(f)}{reason}"
@@ -282,16 +282,16 @@ def _first(column: int) -> int:
     return (column & -column).bit_length() - 1
 
 
-def _first_valuation(names: Sequence[str], formulas: Sequence[Formula]) -> Valuation | None:
-    """The first valuation over `names`, in canonical order, where every one
-    of the K-free `formulas` holds, or None.  A sequence, so that each of
-    its formulas lives as long as `_truth`'s cache."""
+def _first_valuation(names: Sequence[str], formulas: Sequence[Formula]) -> int | None:
+    """The index of the first valuation over `names`, in canonical order,
+    where every one of the K-free `formulas` holds, or None.  A sequence, so
+    that each of its formulas lives as long as `_truth`'s cache."""
     full, masks = _columns(names)
     cache: dict = {}
     hits = full
     for f in formulas:
         hits &= _truth(f, full, masks, cache)
-    return valuation_at(names, _first(hits)) if hits else None
+    return _first(hits) if hits else None
 
 
 def truth_table(
@@ -342,8 +342,9 @@ class ClassicalVerdict(Record):
 
 def is_tautology(f: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> ClassicalVerdict:
     """True at every valuation, or the first falsifying valuation."""
-    witness = _first_valuation(_prepare([f], ConstraintSet(), atom_limit), [Not(f)])
-    return ClassicalVerdict(witness is None, witness)
+    order = _prepare([f], ConstraintSet(), atom_limit)
+    first = _first_valuation(order, [Not(f)])
+    return ClassicalVerdict(first is None, None if first is None else valuation_at(order, first))
 
 
 def are_equivalent_under(
@@ -354,5 +355,5 @@ def are_equivalent_under(
 ) -> ClassicalVerdict:
     """Do f and g agree on every valuation satisfying all constraints?"""
     order = _prepare([f, g], constraints, atom_limit)
-    witness = _first_valuation(order, [*constraints, Not(Iff(f, g))])
-    return ClassicalVerdict(witness is None, witness)
+    first = _first_valuation(order, [*constraints, Not(Iff(f, g))])
+    return ClassicalVerdict(first is None, None if first is None else valuation_at(order, first))

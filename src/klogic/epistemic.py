@@ -17,9 +17,10 @@ only Q), keeps the dropped ones true (they fold to true), and can only
 lower the cell's column.  So the first model has every atom outside Q
 false, and is the first model over Q of the kept axioms.
 
-Search.  A K-free formula holds or fails at each world alone.  So a
-K-free query and kept theory have as first model the singleton of the
-first valuation where all of them hold, which `klogic.classical` finds.
+Search.  A K-free formula holds or fails at each world alone, and each
+node carries whether it is K-free (see `syntax.Formula`).  So a K-free
+query and kept theory have as first model the singleton of the first
+valuation where all of them hold, which `klogic.classical` finds.
 Otherwise, with V the 2^|Q| valuations of Q in canonical order, cells are
 tried in ascending order of the cell read as a column in the format the
 `klogic.classical` docstring defines, and within a cell, designated worlds
@@ -27,19 +28,20 @@ in ascending valuation order.  The first hit is returned, so repeated
 queries are reproducible bit for bit.  In single-agent S5 truth at the
 designated world depends only on its own cell, and duplicate-valuation
 worlds are redundant, so this enumeration is exhaustive up to semantic
-equivalence.  One walk over the query and the kept axioms finds each
-maximal K-free subformula other than an atom, and its column over V is
-computed once per search.  The cells tried are the non-empty subsets of
-`allowed`, the valuations where every K-free kept axiom holds: a cell
-with a world outside `allowed` fails such an axiom there, so skipping it
-is exact, and the order among the rest is unchanged.  On each cell only
-the modal axioms and the query are evaluated, over a memo that starts
-with each K-free part's column cut to the cell.
+equivalence.  The K-free axioms are read once, into `allowed`, the
+valuations where all of them hold, and the cells tried are the non-empty
+subsets of `allowed`: a cell with a world outside it fails such an axiom
+there, so skipping it is exact, and the order among the rest is unchanged.
+On each cell the modal axioms and the query are evaluated, over a memo
+that starts with the columns over V, computed once per search and cut to
+the cell, of their maximal K-free subformulas other than atoms.  Either
+search ends in a cell and the index of its designated valuation.
 
-Padding.  Every world of the model found is padded with false to the
-sorted atoms of the query, the whole theory and any extra atoms the caller
-names.  Padding keeps the order of valuations, so the model, its designated
-world and every report are those of a search over all the atoms.
+Padding.  The model is built from that cell over the sorted atoms of the
+query, the whole theory and any extra atoms the caller names, those
+outside Q false at every world.  This keeps the order of valuations, so
+the model, its designated world and every report are those of a search
+over all the atoms.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Or, Top, Var, atoms
+from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, atoms
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
@@ -58,7 +60,6 @@ from .classical import (
     _require_assigned,
     _truth,
     _within_limits,
-    valuation_at,
 )
 
 
@@ -136,36 +137,15 @@ def eval_modal(f: Formula, m: EpistemicModel, world_index: int) -> bool:
 
 
 def erase_K(f: Formula) -> Formula:
-    """Structurally replace every K(g) by g, recursively."""
-    if isinstance(f, (Top, Bottom, Var)):
+    """Structurally replace every K(g) by g, recursively; a K-free subtree
+    is returned as it is."""
+    if f._k_free:
         return f
     if isinstance(f, Know):
         return erase_K(f.operand)
     if isinstance(f, Not):
         return Not(erase_K(f.operand))
     return type(f)(erase_K(f.left), erase_K(f.right))
-
-
-def _model_from_mask(
-    names: tuple[str, ...], cell_mask: int, designated_index: int
-) -> EpistemicModel:
-    # One scan of the binary text, lowest bit first: shifting the whole mask
-    # once per bit is quadratic in its width.
-    indices = [i for i, bit in enumerate(bin(cell_mask)[:1:-1]) if bit == "1"]
-    cell = tuple(valuation_at(names, i) for i in indices)
-    return EpistemicModel(names, cell, indices.index(designated_index))
-
-
-def _pad(m: EpistemicModel, names: tuple[str, ...]) -> EpistemicModel:
-    """m over `names`, a sorted superset of its atoms, each added atom false
-    at every world."""
-    if m.atoms == names:
-        return m
-    cell = []
-    for v in m.cell:
-        values = v.as_dict()
-        cell.append(Valuation(names, tuple([values.get(a, False) for a in names])))
-    return EpistemicModel(names, cell, m.designated)
 
 
 def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
@@ -209,7 +189,7 @@ def _reduce(
 ) -> tuple[tuple[str, ...], list[Formula], tuple[str, ...]]:
     """The atoms Q that a search for f reaches through `axioms`, sorted; the
     axioms it keeps, in theory order; and the atoms of f, `axioms` and
-    `extra_atoms`, sorted, which the model is padded to.
+    `extra_atoms`, sorted, over which the model is built.
 
     See the module docstring for the rule: a pass over the axioms not yet
     kept repeats while Q grows.  `classical._within_limits` asks the modal
@@ -239,64 +219,48 @@ def _reduce(
     return tuple(sorted(q)), [a for a, k in zip(axioms, kept) if k], tuple(sorted(every))
 
 
-def _k_free_parts(roots: Sequence[Formula]) -> tuple[list[Formula], dict[int, bool]]:
+def _k_free_parts(roots: Sequence[Formula]) -> list[Formula]:
     """The maximal K-free subformulas of `roots` other than atoms, each node
-    once, and whether each of their nodes is K-free, keyed by its id.
-
-    One walk with its own stack, dispatching on exact type.  A node is
-    pushed bare, then, once expanded, with its operands, which are pushed
-    above it and so finished before it.  A K-free operand of a node that
-    is not K-free is maximal, as is a K-free root."""
-    free: dict[int, bool] = {}
-    parts: dict[int, Formula] = {}
-    stack: list = [(r, None) for r in roots]
+    once.  One walk with its own stack, which stops at a K-free node and
+    otherwise goes on to its operands."""
+    parts: list[Formula] = []
+    seen: set[int] = set()
+    stack = list(roots)
     pop, push = stack.pop, stack.append
     while stack:
-        g, below = pop()
-        if below is None:
-            if id(g) in free:
-                continue
-            t = type(g)
-            if t is Not or t is Know:
-                below = (g.operand,)
-            elif t is And or t is Or or t is Implies or t is Iff:
-                below = (g.left, g.right)
-            else:
-                free[id(g)] = True
-                continue
-            push((g, below))
-            for h in below:
-                push((h, None))
-        elif type(g) is not Know and free[id(below[0])] and free[id(below[-1])]:
-            free[id(g)] = True
+        g = pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        t = type(g)
+        if g._k_free:
+            if t is not Var:
+                parts.append(g)
+        elif t is Not or t is Know:
+            push(g.operand)
         else:
-            free[id(g)] = False
-            for h in below:
-                if free[id(h)] and type(h) is not Var:
-                    parts[id(h)] = h
-    for r in roots:
-        if free[id(r)] and type(r) is not Var:
-            parts[id(r)] = r
-    return list(parts.values()), free
+            push(g.left)
+            push(g.right)
+    return parts
 
 
 def _first_model(
     f: Formula, axioms: Sequence[Formula], names: tuple[str, ...]
-) -> EpistemicModel | None:
-    """First canonical model over `names` of the axioms (globally) satisfying
-    f at the designated world, or None.  See the module docstring's Search."""
-    parts, free = _k_free_parts([f, *axioms])
-    modal = [a for a in axioms if not free[id(a)]]
-    if free[id(f)] and not modal:
+) -> tuple[int, int] | None:
+    """The first canonical model over `names` of the axioms (globally)
+    satisfying f at the designated world, as its cell and the designated
+    valuation's index, or None.  See the module docstring's Search."""
+    modal = [a for a in axioms if not a._k_free]
+    if f._k_free and not modal:
         first = _first_valuation(names, [f, *axioms])
-        return None if first is None else EpistemicModel.singleton(first)
+        return None if first is None else (1 << first, first)
 
     full, masks = _columns(names)
     memo: dict = {}
-    columns = [(id(g), _truth(g, full, masks, memo)) for g in parts]
+    columns = [(id(g), _truth(g, full, masks, memo)) for g in _k_free_parts([f, *modal])]
     allowed = full
     for a in axioms:
-        if free[id(a)]:
+        if a._k_free:
             allowed &= _truth(a, full, masks, memo)
     # The non-empty submasks of `allowed` in ascending order: the step after
     # `allowed` itself is 0.
@@ -309,8 +273,28 @@ def _first_model(
         else:
             t = _truth(f, cell, masks, cache)
             if t:
-                return _model_from_mask(names, cell, _first(t))
+                return cell, _first(t)
     return None
+
+
+def _build_model(
+    names: tuple[str, ...], padded: tuple[str, ...], cell: int, designated: int
+) -> EpistemicModel:
+    """The model whose worlds are the valuations over `names` at the set
+    bits of `cell`, designated at valuation index `designated`, built over
+    `padded`, a sorted superset of `names` whose other atoms are false at
+    every world.  See the module docstring's Padding."""
+    n = len(names)
+    digit = {a: k for k, a in enumerate(names)}
+    places = [digit.get(a) for a in padded]
+    # One scan of the binary text, lowest bit first: shifting the whole mask
+    # once per bit is quadratic in its width.
+    indices = [i for i, bit in enumerate(bin(cell)[:1:-1]) if bit == "1"]
+    worlds = []
+    for i in indices:
+        digits = format(i, f"0{n}b")  # the n binary digits of i, first atom first
+        worlds.append(Valuation(padded, [k is not None and digits[k] == "1" for k in places]))
+    return EpistemicModel(padded, worlds, indices.index(designated))
 
 
 def is_satisfiable(
@@ -326,10 +310,10 @@ def is_satisfiable(
     that leaves out axioms the reduction would drop passes their atoms.
     The atoms searched meet the modal limit in `classical._within_limits`."""
     names, axioms, padded = _reduce(f, theory.axioms, extra_atoms, atom_limit)
-    model = _first_model(f, axioms, names)
-    if model is None:
+    first = _first_model(f, axioms, names)
+    if first is None:
         return CheckResult(Verdict.UNSATISFIABLE)
-    return CheckResult(Verdict.SATISFIABLE, _pad(model, padded))
+    return CheckResult(Verdict.SATISFIABLE, _build_model(names, padded, *first))
 
 
 def is_valid(

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .classical import ConstraintSet
 from .errors import InputFileError, LogicError, ModalOperatorPresent
-from .syntax import Formula, modal_depth, parse, render
+from .syntax import Formula, parse, render
 
 
 def _read(path: str) -> str:
@@ -63,7 +63,7 @@ def load_theory(path: str) -> Theory:
 
 def _constraint(line: str) -> Formula:
     f = parse(line)
-    if modal_depth(f) != 0:
+    if not f._k_free:
         raise ModalOperatorPresent(
             f"constraint contains the knowledge operator: {render(f)} "
             f"(constraints must be K-free)"

@@ -64,8 +64,10 @@ class Formula(Record):
     subtree, however deep, and sets and dicts of formulas (a theory's
     deduplication, the reduction's fold cache) stay cheap.  The classical
     evaluator's memo is keyed by node identity instead (see
-    `classical._truth`).  Equality compares two nodes' attribute dicts,
-    which hold the hash and then the fields, so the comparison runs in C
+    `classical._truth`).  Whether the node is K-free is stored as the hash
+    is, in a private `_k_free` flag made from its operands' flags; neither
+    is a field.  Equality compares two nodes' attribute dicts, which hold
+    the hash, the flag and then the fields, so the comparison runs in C
     and nodes with differing hashes are unequal without a look at their
     subformulas.  Pickling rebuilds a node through `__init__`, because a
     stored hash is valid only in the process that computed it.  The node
@@ -87,7 +89,10 @@ class Formula(Record):
             values = self._bind(args, kwargs)
             args = tuple([values[name] for name in fields])
         state = self.__dict__
-        state["_hash"] = hash((type(self), *args))  # first, so __eq__ compares it first
+        t = type(self)
+        state["_hash"] = hash((t, *args))  # first, so __eq__ compares it first
+        # An atom's one argument is its name; every other argument is an operand.
+        state["_k_free"] = t is Var or t is not Know and all([a._k_free for a in args])
         state.update(zip(fields, args))
 
     def __eq__(self, other):
@@ -342,7 +347,8 @@ _BINARY = (And, Or, Implies, Iff)
 def subformulas(f: Formula) -> Iterator[Formula]:
     """Depth-first iterator over f and all its subterms, each node before
     its operands and a left operand before a right one.  It keeps its own
-    stack, so any depth fits under the recursion limit."""
+    stack, so any depth fits under the recursion limit.  A node shared
+    between several parents is yielded once per occurrence."""
     stack = [f]
     pop, push = stack.pop, stack.append
     while stack:
@@ -356,8 +362,28 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
-    """All distinct atom names in f, sorted lexicographically."""
-    return tuple(sorted({g.name for g in subformulas(f) if isinstance(g, Var)}))
+    """All distinct atom names in f, sorted lexicographically.
+
+    One walk with its own stack, dispatching on exact type, that expands
+    each node once, by id: so a formula built with shared subterms costs
+    time linear in its distinct nodes, not in its occurrences."""
+    names: set[str] = set()
+    seen: set[int] = set()
+    stack = [f]
+    pop, push, see = stack.pop, stack.append, seen.add
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Var:
+            names.add(g.name)
+        elif id(g) not in seen:
+            see(id(g))
+            if t is Not or t is Know:
+                push(g.operand)
+            elif t is not Top and t is not Bottom:
+                push(g.left)
+                push(g.right)
+    return tuple(sorted(names))
 
 
 def modal_depth(f: Formula) -> int:

@@ -24,12 +24,14 @@ from klogic import (
     Valuation,
     Var,
     Verdict,
+    ConstraintSet,
     are_equivalent_modal,
     atoms,
     erase_K,
     eval_classical,
     eval_modal,
     is_satisfiable,
+    is_tautology,
     is_valid,
     modal_depth,
     parse,
@@ -38,7 +40,7 @@ from klogic import (
 )
 from klogic import epistemic
 from klogic.classical import DEFAULT_MODAL_ATOM_LIMIT
-from klogic.epistemic import _model_from_mask, _reduce
+from klogic.epistemic import _build_model, _reduce
 from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
 from test_classical import _introspection_forms
@@ -250,20 +252,24 @@ def test_engine_matches_reference_enumeration_on_random_queries():
         _assert_first_model_matches_reference(f, axioms)
 
 
-def test_model_from_mask_matches_a_bit_by_bit_construction():
+def test_the_model_builder_matches_a_bit_by_bit_construction():
     rng = random.Random(20261018)
     for _ in range(200):
-        n = rng.randint(0, 12)
-        names = tuple(f"a{k:02d}" for k in range(n))
+        padded = tuple(f"a{k:02d}" for k in range(rng.randint(0, 12)))
+        names = tuple(a for a in padded if rng.random() < 0.5)
+        n = len(names)
         mask = rng.getrandbits(1 << n) or 1 << rng.randrange(1 << n)
         indices = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
         designated = rng.choice(indices)
-        # Each world's bits shifted out one at a time, first atom highest.
-        cell = tuple(
-            Valuation(names, tuple(bool((i >> (n - 1 - k)) & 1) for k in range(n))) for i in indices
-        )
-        expected = EpistemicModel(names, cell, indices.index(designated))
-        assert _model_from_mask(names, mask, designated) == expected
+
+        def world(i):
+            # The bits of i shifted out one at a time, first atom highest;
+            # an atom outside `names` is false.
+            value = {a: bool((i >> (n - 1 - k)) & 1) for k, a in enumerate(names)}
+            return Valuation(padded, tuple(value.get(a, False) for a in padded))
+
+        expected = EpistemicModel(padded, tuple(map(world, indices)), indices.index(designated))
+        assert _build_model(names, padded, mask, designated) == expected
 
 
 def _assert_first_model_matches_reference(f, axioms, check=is_satisfiable):
@@ -417,12 +423,32 @@ def test_a_chain_of_k_free_axioms_cuts_five_atoms_to_63_cells(monkeypatch):
 def test_the_k_free_walk_finds_each_maximal_k_free_part_other_than_an_atom():
     f = parse("K((a | b) & c) -> c | !K((a | b) & c) & (a <-> true)")
     axiom = parse("a -> b")
-    parts, free = epistemic._k_free_parts([f, axiom])
+    parts = epistemic._k_free_parts([f, axiom])
     # Two equal but distinct `(a | b) & c` nodes, `a <-> true` and the axiom;
     # `c` is an atom, and the right operand of -> holds K.
     assert sorted(map(render, parts)) == ["(a | b) & c", "(a | b) & c", "a -> b", "a <-> true"]
     assert len({id(g) for g in parts}) == 4
-    assert not free[id(f)] and free[id(axiom)]
+    assert all(g._k_free for g in parts)
+    assert not f._k_free and axiom._k_free
+    # A K-free node shared by several parents is one part.
+    shared = parse("a & b")
+    assert epistemic._k_free_parts([Implies(Know(shared), shared), shared]) == [shared]
+
+
+def test_a_formula_sharing_its_subterms_costs_its_distinct_nodes_not_its_paths():
+    """`g = And(g, g)` nested 64 levels has 2^64 paths to its leaves but 67
+    distinct nodes; every walk below expands a shared node once, or stops
+    at a K-free one."""
+    g = parse("a & !b")
+    for _ in range(64):
+        g = And(g, g)
+    assert atoms(g) == ("a", "b")
+    assert erase_K(g) is g and erase_K(Know(g)) is g
+    result = is_satisfiable(Know(g))
+    assert result.verdict is Verdict.SATISFIABLE
+    assert [v.as_dict() for v in result.model.cell] == [{"a": True, "b": False}]
+    assert len(ConstraintSet((g,))) == 1
+    assert is_tautology(Or(g, Not(g))).holds
 
 
 def test_an_axiom_dropped_first_is_kept_once_another_brings_its_atom_into_the_search():

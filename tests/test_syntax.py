@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -357,3 +358,6 @@ def test_modal_depth_zero_means_no_know(f):
     assert (modal_depth(f) == 0) == all(
         not isinstance(g, Know) for g in subformulas(f)
     )
+    # The flag each node carries says the same, and is made again on unpickling.
+    assert f._k_free == (modal_depth(f) == 0)
+    assert pickle.loads(pickle.dumps(f))._k_free == f._k_free
