@@ -231,7 +231,7 @@ def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
     """Refuse the first formula containing K; `why`, if given, is appended
     to the message in parentheses."""
     for f in formulas:
-        if not f._k_free:
+        if f._modal_depth:
             reason = f" ({why})" if why else ""
             raise ModalOperatorPresent(
                 f"formula contains the knowledge operator: {render(f)}{reason}"

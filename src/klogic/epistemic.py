@@ -18,9 +18,9 @@ lower the cell's column.  So the first model has every atom outside Q
 false, and is the first model over Q of the kept axioms.
 
 Search.  A K-free formula holds or fails at each world alone, and each
-node carries whether it is K-free (see `syntax.Formula`).  So a K-free
-query and kept theory have as first model the singleton of the first
-valuation where all of them hold, which `klogic.classical` finds.
+node stores its modal depth, 0 iff K-free (see `syntax.Formula`).  So a
+K-free query and kept theory have as first model the singleton of the
+first valuation where all of them hold, which `klogic.classical` finds.
 Otherwise, with V the 2^|Q| valuations of Q in canonical order, cells are
 tried in ascending order of the cell read as a column in the format the
 `klogic.classical` docstring defines, and within a cell, designated worlds
@@ -137,15 +137,27 @@ def eval_modal(f: Formula, m: EpistemicModel, world_index: int) -> bool:
 
 
 def erase_K(f: Formula) -> Formula:
-    """Structurally replace every K(g) by g, recursively; a K-free subtree
-    is returned as it is."""
-    if f._k_free:
-        return f
-    if isinstance(f, Know):
-        return erase_K(f.operand)
-    if isinstance(f, Not):
-        return Not(erase_K(f.operand))
-    return type(f)(erase_K(f.left), erase_K(f.right))
+    """Structurally replace every K(g) by g, recursively.  A K-free subtree
+    is returned as it is, and a node shared by several parents is rebuilt
+    once, so the result shares what f shares."""
+    erased: dict[int, Formula] = {}
+
+    def erase(g: Formula) -> Formula:
+        if not g._modal_depth:
+            return g
+        r = erased.get(id(g))
+        if r is None:
+            t = type(g)
+            if t is Know:
+                r = erase(g.operand)
+            elif t is Not:
+                r = Not(erase(g.operand))
+            else:
+                r = t(erase(g.left), erase(g.right))
+            erased[id(g)] = r
+        return r
+
+    return erase(f)
 
 
 def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
@@ -233,7 +245,7 @@ def _k_free_parts(roots: Sequence[Formula]) -> list[Formula]:
             continue
         seen.add(id(g))
         t = type(g)
-        if g._k_free:
+        if not g._modal_depth:
             if t is not Var:
                 parts.append(g)
         elif t is Not or t is Know:
@@ -250,8 +262,8 @@ def _first_model(
     """The first canonical model over `names` of the axioms (globally)
     satisfying f at the designated world, as its cell and the designated
     valuation's index, or None.  See the module docstring's Search."""
-    modal = [a for a in axioms if not a._k_free]
-    if f._k_free and not modal:
+    modal = [a for a in axioms if a._modal_depth]
+    if not f._modal_depth and not modal:
         first = _first_valuation(names, [f, *axioms])
         return None if first is None else (1 << first, first)
 
@@ -260,7 +272,7 @@ def _first_model(
     columns = [(id(g), _truth(g, full, masks, memo)) for g in _k_free_parts([f, *modal])]
     allowed = full
     for a in axioms:
-        if a._k_free:
+        if not a._modal_depth:
             allowed &= _truth(a, full, masks, memo)
     # The non-empty submasks of `allowed` in ascending order: the step after
     # `allowed` itself is 0.
@@ -287,9 +299,13 @@ def _build_model(
     n = len(names)
     digit = {a: k for k, a in enumerate(names)}
     places = [digit.get(a) for a in padded]
-    # One scan of the binary text, lowest bit first: shifting the whole mask
-    # once per bit is quadratic in its width.
-    indices = [i for i, bit in enumerate(bin(cell)[:1:-1]) if bit == "1"]
+    # Each set bit taken off as the lowest one, so the cost follows the
+    # cell's worlds, not its width.
+    indices = []
+    while cell:
+        low = cell & -cell
+        indices.append(low.bit_length() - 1)
+        cell ^= low
     worlds = []
     for i in indices:
         digits = format(i, f"0{n}b")  # the n binary digits of i, first atom first

@@ -63,7 +63,7 @@ def load_theory(path: str) -> Theory:
 
 def _constraint(line: str) -> Formula:
     f = parse(line)
-    if not f._k_free:
+    if f._modal_depth:
         raise ModalOperatorPresent(
             f"constraint contains the knowledge operator: {render(f)} "
             f"(constraints must be K-free)"

@@ -25,12 +25,12 @@ Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
 `|` chains nest to the left.  Printing, evaluation and equality recurse
-through every level.  Equality counts three steps of Python's recursion
-limit per level on Python 3.10 and 3.11 (331 levels fit under the default
-limit of 1000), fewer on later versions; printing and evaluation count
-one.  So 200 levels keep them under the default limit.
+through every level.  Equality compares the hash, the modal depth, then
+the fields, and counts three steps of Python's recursion limit per level
+on Python 3.10 and 3.11 (331 levels fit under the default 1000), fewer on
+later versions; printing and evaluation count one, so 200 levels fit.
 `parse` itself does not recurse and refuses deeper input with a ParseError;
-hashing, `subformulas` and `atoms` do not recurse either (see Formula).
+hashing, `subformulas` and `atoms` do not recurse, nor does `modal_depth`.
 """
 
 from __future__ import annotations
@@ -64,17 +64,17 @@ class Formula(Record):
     subtree, however deep, and sets and dicts of formulas (a theory's
     deduplication, the reduction's fold cache) stay cheap.  The classical
     evaluator's memo is keyed by node identity instead (see
-    `classical._truth`).  Whether the node is K-free is stored as the hash
-    is, in a private `_k_free` flag made from its operands' flags; neither
-    is a field.  Equality compares two nodes' attribute dicts, which hold
-    the hash, the flag and then the fields, so the comparison runs in C
-    and nodes with differing hashes are unequal without a look at their
-    subformulas.  Pickling rebuilds a node through `__init__`, because a
-    stored hash is valid only in the process that computed it.  The node
-    classes are closed: once the nine below are defined, any further
-    subclass, of `Formula` or of one of them, raises TypeError, so every
-    walker may dispatch on exact type and none meets a node it does not
-    know.
+    `classical._truth`).  The modal depth, 0 iff K-free, is stored as the
+    hash is, from the operands' depths, and `modal_depth` reads it; an
+    operand without one is refused with TypeError.  Equality compares two
+    nodes' attribute dicts, which hold the hash, the depth and then the
+    fields, so the comparison runs in C and nodes with differing hashes
+    are unequal without a look at their subformulas.  Pickling rebuilds a
+    node through `__init__`, as a stored hash is valid only in the process
+    that computed it.  The node classes are closed: once the nine below are
+    defined, any further subclass, of `Formula` or of one of them, raises
+    TypeError, so every walker may dispatch on exact type and none meets a
+    node it does not know.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -88,11 +88,19 @@ class Formula(Record):
         if kwargs or len(args) != len(fields):
             values = self._bind(args, kwargs)
             args = tuple([values[name] for name in fields])
-        state = self.__dict__
         t = type(self)
+        try:
+            if t is Know:
+                depth = args[0]._modal_depth + 1
+            elif t is Var or not args:  # an atom's one argument is its name
+                depth = 0
+            else:  # the first and last operand: a unary node's one, a binary node's two
+                depth = max(args[0]._modal_depth, args[-1]._modal_depth)
+        except AttributeError:
+            raise _not_a_formula(t, args) from None
+        state = self.__dict__
         state["_hash"] = hash((t, *args))  # first, so __eq__ compares it first
-        # An atom's one argument is its name; every other argument is an operand.
-        state["_k_free"] = t is Var or t is not Know and all([a._k_free for a in args])
+        state["_modal_depth"] = depth
         state.update(zip(fields, args))
 
     def __eq__(self, other):
@@ -153,6 +161,14 @@ class Know(Formula):
 
 
 _node_types_closed = True
+
+
+def _not_a_formula(t: type, args: tuple) -> TypeError:
+    """The refusal of the first operand of a `t` node that is not a Formula."""
+    field, value = next(
+        (field, a) for field, a in zip(t.__match_args__, args) if not isinstance(a, Formula)
+    )
+    return TypeError(f"{t.__name__}.{field} must be a Formula, got {type(value).__name__}")
 
 
 class ParseError(LogicError):
@@ -387,11 +403,5 @@ def atoms(f: Formula) -> tuple[str, ...]:
 
 
 def modal_depth(f: Formula) -> int:
-    """Maximum nesting depth of K; 0 iff f is K-free."""
-    if isinstance(f, (Top, Bottom, Var)):
-        return 0
-    if isinstance(f, Know):
-        return 1 + modal_depth(f.operand)
-    if isinstance(f, Not):
-        return modal_depth(f.operand)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    """Maximum nesting depth of K, stored on each node; 0 iff f is K-free."""
+    return f._modal_depth

@@ -270,6 +270,14 @@ def test_the_model_builder_matches_a_bit_by_bit_construction():
 
         expected = EpistemicModel(padded, tuple(map(world, indices)), indices.index(designated))
         assert _build_model(names, padded, mask, designated) == expected
+    # The singleton cell of the last valuation, as a K-free query's search
+    # ends: the mask is 2^n bits wide and has one world.
+    for n in range(12, 17):
+        names = tuple(f"a{k:02d}" for k in range(n))
+        padded = names + ("z",)
+        last = (1 << n) - 1
+        expected = EpistemicModel(padded, (Valuation(padded, (True,) * n + (False,)),), 0)
+        assert _build_model(names, padded, 1 << last, last) == expected
 
 
 def _assert_first_model_matches_reference(f, axioms, check=is_satisfiable):
@@ -428,8 +436,8 @@ def test_the_k_free_walk_finds_each_maximal_k_free_part_other_than_an_atom():
     # `c` is an atom, and the right operand of -> holds K.
     assert sorted(map(render, parts)) == ["(a | b) & c", "(a | b) & c", "a -> b", "a <-> true"]
     assert len({id(g) for g in parts}) == 4
-    assert all(g._k_free for g in parts)
-    assert not f._k_free and axiom._k_free
+    assert all(modal_depth(g) == 0 for g in parts)
+    assert modal_depth(f) == 1 and modal_depth(axiom) == 0
     # A K-free node shared by several parents is one part.
     shared = parse("a & b")
     assert epistemic._k_free_parts([Implies(Know(shared), shared), shared]) == [shared]
@@ -449,6 +457,14 @@ def test_a_formula_sharing_its_subterms_costs_its_distinct_nodes_not_its_paths()
     assert [v.as_dict() for v in result.model.cell] == [{"a": True, "b": False}]
     assert len(ConstraintSet((g,))) == 1
     assert is_tautology(Or(g, Not(g))).holds
+    assert modal_depth(Know(g)) == 1
+    # erase_K rebuilds each shared modal node once, so its result shares too.
+    h = parse("K(a) & !b")
+    for _ in range(64):
+        h = And(h, h)
+    erased = erase_K(h)
+    assert atoms(erased) == ("a", "b") and modal_depth(erased) == 0
+    assert erased.left is erased.right
 
 
 def test_an_axiom_dropped_first_is_kept_once_another_brings_its_atom_into_the_search():

@@ -249,6 +249,30 @@ def test_modal_depth():
     assert modal_depth(parse("K(p) -> K(K(q))")) == 2
 
 
+def test_the_modal_depth_of_a_deep_api_formula_is_read_without_recursing():
+    f = Var("a")
+    for _ in range(5000):
+        f = Know(f)
+    assert modal_depth(f) == 5000
+    assert modal_depth(_api_chain(5000, "a")) == 834  # one K per six wrappers
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Not("a"), "Not.operand must be a Formula, got str"),
+        (lambda: And(Var("a"), 1), "And.right must be a Formula, got int"),
+        (lambda: Know(None), "Know.operand must be a Formula, got NoneType"),
+        (lambda: Implies(left=Top(), right=Top), "Implies.right must be a Formula, got type"),
+        (lambda: Or([], Var("a")), "Or.left must be a Formula, got list"),
+    ],
+)
+def test_a_node_refuses_an_operand_that_is_not_a_formula(build, message):
+    with pytest.raises(TypeError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_subformulas_cover_the_tree():
     f = parse("K(p) -> !q")
     seen = set(subformulas(f))
@@ -353,11 +377,23 @@ def test_parse_totality(text):
         assert "syntax error at offset" in str(e)
 
 
+def _reference_depth(f) -> int:
+    """Maximum nesting depth of K, by recursion over every occurrence."""
+    if isinstance(f, Know):
+        return 1 + _reference_depth(f.operand)
+    if isinstance(f, Not):
+        return _reference_depth(f.operand)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return max(_reference_depth(f.left), _reference_depth(f.right))
+    return 0
+
+
 @given(formulas)
 def test_modal_depth_zero_means_no_know(f):
     assert (modal_depth(f) == 0) == all(
         not isinstance(g, Know) for g in subformulas(f)
     )
-    # The flag each node carries says the same, and is made again on unpickling.
-    assert f._k_free == (modal_depth(f) == 0)
-    assert pickle.loads(pickle.dumps(f))._k_free == f._k_free
+    # The depth each node stores is the recursive one, and is made again on
+    # unpickling.
+    assert modal_depth(f) == _reference_depth(f)
+    assert modal_depth(pickle.loads(pickle.dumps(f))) == _reference_depth(f)
