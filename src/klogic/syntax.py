@@ -96,8 +96,13 @@ class Formula(Record):
                 depth = 0
             else:  # the first and last operand: a unary node's one, a binary node's two
                 depth = max(args[0]._modal_depth, args[-1]._modal_depth)
-        except AttributeError:
-            raise _not_a_formula(t, args) from None
+        except AttributeError:  # an operand that is not a Formula has no depth
+            field, value = next(
+                (field, a) for field, a in zip(fields, args) if not isinstance(a, Formula)
+            )
+            raise TypeError(
+                f"{t.__name__}.{field} must be a Formula, got {type(value).__name__}"
+            ) from None
         state = self.__dict__
         state["_hash"] = hash((t, *args))  # first, so __eq__ compares it first
         state["_modal_depth"] = depth
@@ -161,14 +166,6 @@ class Know(Formula):
 
 
 _node_types_closed = True
-
-
-def _not_a_formula(t: type, args: tuple) -> TypeError:
-    """The refusal of the first operand of a `t` node that is not a Formula."""
-    field, value = next(
-        (field, a) for field, a in zip(t.__match_args__, args) if not isinstance(a, Formula)
-    )
-    return TypeError(f"{t.__name__}.{field} must be a Formula, got {type(value).__name__}")
 
 
 class ParseError(LogicError):
