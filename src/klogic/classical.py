@@ -131,8 +131,8 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     Nodes are told apart by exact type: any other type, such as a bare
     `Formula`, raises TypeError.  Atoms skip `cache`, which maps `id(g)` to
     the value of each other node g evaluated on this cell and these masks:
-    a lookup hashes an int and compares no subtree, and two equal but
-    distinct nodes are evaluated once each.  An id names one node only
+    a lookup hashes an int, and as equal subformulas are one node (see
+    `syntax.Formula`), each is evaluated once.  An id names one node only
     while it lives, so the caller keeps every node it evaluates alive for
     as long as it keeps `cache`.
     """

@@ -15,8 +15,11 @@ as `Fraction(int, int)`, decimals by `Fraction`'s parser.  Atom names follow
 those types check them and word the refusal.  A line's reader raises
 `ValueError`, and `formula_files`' line loop adds the file and line.
 
-Theory and constraint files are read by `formula_files`, whose loaders this
-module re-exports, and which reads every input file.
+Theory and constraint files are read by `formula_files`, which reads every
+input file.  This module re-exports its `load_theory` and
+`load_constraints`: the benchmark's tracer (`perfbench/tracing.py`) looks
+them up in `klogic.declarations` for its `declarations.load` layer, so
+without them a traced run (`--trace 1`) fails.
 """
 
 from __future__ import annotations

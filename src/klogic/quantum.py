@@ -17,8 +17,10 @@ pairs when built and its axioms, constraints and provenance on first read,
 so `classical._within_limits` asks an atom limit before any node exists:
 of the pairs' atoms for a table, of the query's atoms for a check, which
 then builds only the axioms `axioms_within` its query's atoms, the only
-ones its search keeps (see `epistemic`).  A proposition's `Var` is built
-once, and every node of its formulas shares it.  `epistemic` is imported
+ones its search keeps (see `epistemic`).  A proposition keeps its `Var`,
+and as equal formulas are one node (see `syntax.Formula`), every node of
+its formulas, each side K(m) or !K(x) included, is built once and shared
+by every axiom and constraint it is in.  `epistemic` is imported
 when axioms are first built, so constraints alone load no modal code.
 
 `ObservableKind` words the refusal of an unknown kind, which a declaration
@@ -184,14 +186,9 @@ class GeneratedTheory(Record):
         return self._theory([(m, x) for m, x in self.pairs if m.atom in names and x.atom in names])
 
     def _theory(self, pairs: Iterable[tuple[IntervalProposition, IntervalProposition]]) -> Theory:
-        """Each proposition's side, K(m) or !K(x), is one node in every axiom it is in."""
         from .epistemic import Theory
 
-        sides = {
-            id(p): Know(p.var) if p.kind is ObservableKind.MOMENTUM else Not(Know(p.var))
-            for p in self.propositions
-        }
-        return Theory(tuple([Implies(sides[id(m)], sides[id(x)]) for m, x in pairs]))
+        return Theory(tuple([Implies(Know(m.var), Not(Know(x.var))) for m, x in pairs]))
 
     @cached_property
     def constraints(self) -> ConstraintSet:

@@ -24,19 +24,18 @@ or `K` must be an atom, `[a-z][a-zA-Z0-9_]*`.
 Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
-`|` chains nest to the left.  Printing, evaluation and equality recurse
-through every level.  Equality compares the hash, the modal depth, then
-the fields, and counts three steps of Python's recursion limit per level
-on Python 3.10 and 3.11 (331 levels fit under the default 1000), fewer on
-later versions; printing and evaluation count one, so 200 levels fit.
+`|` chains nest to the left.  Printing and evaluation recurse through
+every level, one step of Python's recursion limit each, so 200 levels fit.
 `parse` itself does not recurse and refuses deeper input with a ParseError;
-hashing, `subformulas` and `atoms` do not recurse, nor does `modal_depth`.
+equality and hashing, which are by identity (see `Formula`), `subformulas`
+and `atoms` do not recurse, nor does `modal_depth`.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Iterator
+from weakref import KeyedRef, _remove_dead_weakref, ref
 
 from ._record import Record
 from .errors import LogicError
@@ -56,25 +55,36 @@ def is_atom_name(name: str) -> bool:
 _node_types_closed = False  # set once the nine node classes are defined
 
 
-class Formula(Record):
-    """Base class; concrete cases below. Structural equality throughout.
+_nodes: dict[tuple, KeyedRef] = {}  # (type, *fields) -> the live node's entry
 
-    A node's hash is computed once, at construction, from its type and its
-    fields, whose subformulas hold theirs already; so hashing never walks a
-    subtree, however deep, and sets and dicts of formulas (a theory's
-    deduplication, the reduction's fold cache) stay cheap.  The classical
-    evaluator's memo is keyed by node identity instead (see
-    `classical._truth`).  The modal depth, 0 iff K-free, is stored as the
-    hash is, from the operands' depths, and `modal_depth` reads it; an
-    operand without one is refused with TypeError.  Equality compares two
-    nodes' attribute dicts, which hold the hash, the depth and then the
-    fields, so the comparison runs in C and nodes with differing hashes
-    are unequal without a look at their subformulas.  Pickling rebuilds a
-    node through `__init__`, as a stored hash is valid only in the process
-    that computed it.  The node classes are closed: once the nine below are
-    defined, any further subclass, of `Formula` or of one of them, raises
-    TypeError, so every walker may dispatch on exact type and none meets a
-    node it does not know.
+
+def _forget(entry: KeyedRef) -> None:
+    """Drop the entry of a node that died, unless a live node has taken its
+    key since.  `_remove_dead_weakref`, as `weakref.WeakValueDictionary`
+    uses it, tests and deletes in one step, with no thread run between."""
+    _remove_dead_weakref(_nodes, entry.key)
+
+
+class Formula(Record):
+    """Base class; concrete cases below.  One node per formula.
+
+    Building a node looks up its type and fields in a registry of the live
+    nodes, and returns the node found there, so every formula built again
+    while an equal one lives, by `parse`, by the constructors or by
+    unpickling, is that one node.  Equality and hashing are therefore by
+    identity: they never walk a subtree, two equal formulas built apart
+    compare in constant time, and the identity-keyed memos of the engines
+    (see `classical._truth`) meet each subformula once.  The registry holds
+    its nodes weakly, so a node lives only as long as a caller holds it,
+    and its entry goes when it dies.  Registration uses `dict.setdefault`,
+    so threads that build one formula at once get one node.  The modal
+    depth, 0 iff K-free, is stored on each node, made from its operands'
+    depths, and `modal_depth` reads it; an operand without one is refused
+    with TypeError, and an atom's name is checked when its node is first
+    built.  The node classes are closed: once the nine below are defined,
+    any further subclass, of `Formula` or of one of them, raises TypeError,
+    so every walker may dispatch on exact type and none meets a node it
+    does not know.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -83,16 +93,19 @@ class Formula(Record):
             raise TypeError(f"cannot subclass {base.__name__}: klogic's node types are closed")
         super().__init_subclass__(**kwargs)
 
-    def __init__(self, *args, **kwargs):
-        fields = self.__match_args__
+    __init__ = object.__init__  # a node is complete when `__new__` returns it
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls.__match_args__
         if kwargs or len(args) != len(fields):
-            values = self._bind(args, kwargs)
+            values = cls._bind(args, kwargs)
             args = tuple([values[name] for name in fields])
-        t = type(self)
         try:
-            if t is Know:
+            if cls is Know:
                 depth = args[0]._modal_depth + 1
-            elif t is Var or not args:  # an atom's one argument is its name
+            elif cls is Var or not args:  # an atom's one argument is its name
                 depth = 0
             else:  # the first and last operand: a unary node's one, a binary node's two
                 depth = max(args[0]._modal_depth, args[-1]._modal_depth)
@@ -101,20 +114,23 @@ class Formula(Record):
                 (field, a) for field, a in zip(fields, args) if not isinstance(a, Formula)
             )
             raise TypeError(
-                f"{t.__name__}.{field} must be a Formula, got {type(value).__name__}"
+                f"{cls.__name__}.{field} must be a Formula, got {type(value).__name__}"
             ) from None
-        state = self.__dict__
-        state["_hash"] = hash((t, *args))  # first, so __eq__ compares it first
-        state["_modal_depth"] = depth
-        state.update(zip(fields, args))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
+        key = (cls, *args)
+        found = _nodes.get(key)
+        while found is None or (node := found()) is None:
+            _remove_dead_weakref(_nodes, key)  # the entry of a node that died, if one is left
+            if cls is Var and not is_atom_name(args[0]):  # a registered name is valid
+                raise ValueError(f"invalid atom name: {args[0]!r}")
+            node = object.__new__(cls)
+            node.__dict__.update(zip(fields, args), _modal_depth=depth)
+            # Built by `ref`'s constructor, in C: KeyedRef's own runs in Python
+            # and would cost each new node about a third more.
+            entry = ref.__new__(KeyedRef, node, _forget)
+            entry.key = key
+            # Of two threads registering one key, the second gets the first's node.
+            found = _nodes.setdefault(key, entry)
+        return node
 
     def __str__(self) -> str:
         return render(self)
@@ -130,11 +146,6 @@ class Bottom(Formula):
 
 class Var(Formula):
     name: str
-
-    def __init__(self, name: str):
-        if not is_atom_name(name):
-            raise ValueError(f"invalid atom name: {name!r}")
-        super().__init__(name)
 
 
 class Not(Formula):
@@ -349,7 +360,7 @@ def _render(f: Formula, context: int) -> str:
 
 
 def render(f: Formula) -> str:
-    """Minimally parenthesized concrete syntax; parse(render(f)) == f."""
+    """Minimally parenthesized concrete syntax; parse(render(f)) is f."""
     return _render(f, 0)
 
 

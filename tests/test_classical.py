@@ -163,43 +163,39 @@ def test_a_subclass_of_any_node_class_is_refused(base):
         type("_Mixed", (mixin, base), {})
 
 
-def _introspection_forms():
-    """`!K(p) -> K(!K(p))` with p = (a | b) & c: parsed, with two equal but
-    distinct K(p) nodes, and built around one shared K(p) node."""
+def _introspection_form():
+    """`!K(p) -> K(!K(p))` with p = (a | b) & c, parsed and built around one
+    K(p) node: both give one node, whose two K(p) are one node too."""
     parsed = parse("!K((a | b) & c) -> K(!K((a | b) & c))")
     known = Know(And(Or(Var("a"), Var("b")), Var("c")))
     built = Implies(Not(known), Know(Not(known)))
-    assert parsed == built
-    assert parsed.left.operand == parsed.right.operand.operand
-    assert parsed.left.operand is not parsed.right.operand.operand
-    assert built.left.operand is built.right.operand.operand
-    return parsed, built
+    assert parsed is built
+    assert parsed.left.operand is parsed.right.operand.operand is known
+    return parsed
 
 
-def test_truth_memo_by_identity_gives_equal_but_distinct_nodes_the_same_value():
-    parsed, built = _introspection_forms()
+def test_truth_memo_by_identity_evaluates_a_repeated_subformula_once():
+    f = _introspection_form()
     full, masks = _columns(("a", "b", "c"))
     envs = canonical_worlds(("a", "b", "c"))
     assert full == 255
     for cell in range(1, full + 1):
-        shared: dict = {}  # one memo across both forms
-        values = {
-            _truth(parsed, cell, masks, {}),
-            _truth(built, cell, masks, {}),
-            _truth(parsed, cell, masks, shared),
-            _truth(built, cell, masks, shared),
-        }
-        assert len(values) == 1, cell
+        memo: dict = {}
+        value = _truth(f, cell, masks, memo)
+        # One entry per distinct node other than an atom: ->, !K(p), K(p),
+        # p, a | b and K(!K(p)), whose !K(p) is the one on the left.
+        assert len(memo) == 6, cell
+        assert _truth(f, cell, masks, {}) == value
         worlds = [env for j, env in enumerate(envs) if cell >> j & 1]
-        (value,) = values
         assert [bool(value >> j & 1) for j in range(8) if cell >> j & 1] == [
-            oracle_eval_modal(parsed, worlds, i) for i in range(len(worlds))
+            oracle_eval_modal(f, worlds, i) for i in range(len(worlds))
         ]
 
 
-def test_a_table_keeps_its_bits_when_equal_subformulas_are_distinct_nodes():
-    """`a | b` appears as three distinct nodes, and `(a | b) & c` as two,
-    across the formulas and the constraints; one memo serves them all."""
+def test_a_table_keeps_its_bits_when_its_formulas_repeat_subformulas():
+    """`a | b` appears three times, and `(a | b) & c` twice, across the
+    formulas and the constraints, parsed apart or built around shared
+    nodes; one memo serves them all."""
     formulas = (parse("(a | b) & c"), parse("!((a | b) & c)"), parse("a | b"))
     constraints = ConstraintSet((parse("(a | b) & c -> b"),))
     table = truth_table(formulas, constraints)

@@ -43,7 +43,7 @@ from klogic.classical import DEFAULT_MODAL_ATOM_LIMIT
 from klogic.epistemic import _build_model, _reduce
 from oracles import oracle_eval_modal, oracle_first_model, random_formula
 
-from test_classical import _introspection_forms
+from test_classical import _introspection_form
 from test_syntax import formulas as any_formulas
 
 DEMO_AXIOMS = Theory((parse("K(p) -> !K(q)"), parse("K(p) -> !K(r)")))
@@ -391,13 +391,13 @@ def test_a_search_within_the_k_free_axioms_matches_the_reference(f, axioms, rng)
 
 
 def test_validity_does_not_depend_on_whether_equal_subformulas_are_one_node():
-    parsed, built = _introspection_forms()
-    assert is_valid(parsed) == is_valid(built)
-    assert is_valid(parsed).verdict is Verdict.VALID
-    # The converse, K(!K(p)) -> K(p), fails: the same countermodel for both.
-    parsed, built = (Implies(g.right, g.left.operand) for g in (parsed, built))
-    assert is_valid(parsed) == is_valid(built)
-    assert is_valid(parsed).verdict is Verdict.INVALID
+    f = _introspection_form()  # parsed or built, one node
+    assert is_valid(f).verdict is Verdict.VALID
+    # The converse, K(!K(p)) -> K(p), fails; built from f's nodes, it is the
+    # node that parsing it gives.
+    converse = Implies(f.right, f.left.operand)
+    assert converse is parse("K(!K((a | b) & c)) -> K((a | b) & c)")
+    assert is_valid(converse).verdict is Verdict.INVALID
 
 
 def test_k_free_axioms_that_leave_no_valuation_leave_no_model():
@@ -432,10 +432,11 @@ def test_the_k_free_walk_finds_each_maximal_k_free_part_other_than_an_atom():
     f = parse("K((a | b) & c) -> c | !K((a | b) & c) & (a <-> true)")
     axiom = parse("a -> b")
     parts = epistemic._k_free_parts([f, axiom])
-    # Two equal but distinct `(a | b) & c` nodes, `a <-> true` and the axiom;
-    # `c` is an atom, and the right operand of -> holds K.
-    assert sorted(map(render, parts)) == ["(a | b) & c", "(a | b) & c", "a -> b", "a <-> true"]
-    assert len({id(g) for g in parts}) == 4
+    # The two `(a | b) & c` are one node, so one part, beside `a <-> true`
+    # and the axiom; `c` is an atom, and the right operand of -> holds K.
+    assert f.left.operand is f.right.right.left.operand.operand
+    assert sorted(map(render, parts)) == ["(a | b) & c", "a -> b", "a <-> true"]
+    assert len({id(g) for g in parts}) == 3
     assert all(modal_depth(g) == 0 for g in parts)
     assert modal_depth(f) == 1 and modal_depth(axiom) == 0
     # A K-free node shared by several parents is one part.
@@ -465,6 +466,20 @@ def test_a_formula_sharing_its_subterms_costs_its_distinct_nodes_not_its_paths()
     erased = erase_K(h)
     assert atoms(erased) == ("a", "b") and modal_depth(erased) == 0
     assert erased.left is erased.right
+
+
+def test_two_shared_chains_built_apart_are_one_node():
+    """Built apart, two 64-level `g = And(g, g)` chains over `a & !b` are one
+    node, so `==` answers without comparing their 2^64 paths, and a theory
+    holding both keeps one."""
+    x = parse("a & !b")
+    for _ in range(64):
+        x = And(x, x)
+    y = And(Var("a"), Not(Var("b")))
+    for _ in range(64):
+        y = And(y, y)
+    assert x is y and x == y
+    assert Theory((x, y)).axioms == (x,)
 
 
 def test_an_axiom_dropped_first_is_kept_once_another_brings_its_atom_into_the_search():

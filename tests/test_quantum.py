@@ -91,7 +91,7 @@ def test_an_invalid_atom_name_is_refused_with_vars_message():
 
 def test_var_is_an_attribute_not_a_field():
     p, twin = _p(), _p()
-    assert p.var == Var("p") and p.var is not twin.var
+    assert p.var is Var("p") and p.var is twin.var
     assert IntervalProposition.__match_args__ == ("atom", "kind", "lo", "hi")
     assert p == twin and hash(p) == hash(twin)
     assert repr(p) == (
@@ -100,7 +100,7 @@ def test_var_is_an_attribute_not_a_field():
     )
     assert p.__reduce__() == (IntervalProposition, ("p", MOM, Fraction(0), Fraction(1, 6)))
     copy = pickle.loads(pickle.dumps(p))
-    assert copy == p and copy.var == p.var and copy.var is not p.var
+    assert copy == p and copy is not p and copy.var is p.var
     with pytest.raises(AttributeError):
         p.var = Var("q")  # type: ignore[misc]
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import gc
 import os
 import pickle
 import subprocess
 import sys
+import threading
+from weakref import KeyedRef
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +31,7 @@ from klogic import (
     render,
     subformulas,
 )
+from klogic import syntax
 from klogic.syntax import MAX_FORMULA_DEPTH, RESERVED_WORDS, is_atom_name
 
 atom_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,3}", fullmatch=True).filter(
@@ -297,7 +302,7 @@ def _api_chain(depth: int, leaf: str):
 
 def test_hashing_deep_api_formulas_does_not_recurse():
     first, second = _api_chain(5000, "a"), _api_chain(5000, "a")
-    assert first is not second
+    assert first is second  # built apart, one node
     assert hash(first) == hash(second)
     assert {first: 1}.get(_api_chain(5000, "b")) is None
 
@@ -349,6 +354,67 @@ def test_formulas_unpickled_in_another_process_hash_as_built_there():
     assert found.decode().strip() == "found"
 
 
+def test_a_node_no_caller_holds_leaves_the_registry():
+    gc.collect()
+    before = len(syntax._nodes)
+    f = parse("K(fresh_a & !fresh_b) -> fresh_c")
+    assert len(syntax._nodes) == before + 7
+    del f
+    gc.collect()
+    assert len(syntax._nodes) == before
+
+
+def test_an_entry_whose_node_died_gives_way_to_a_new_node():
+    """Another thread may find an entry whose node has died before the
+    entry is dropped; building the formula then registers a new node."""
+
+    class Gone:
+        pass
+
+    gone = Gone()
+    key = (Var, "gone_a")
+    dead = KeyedRef(gone, None, key)
+    del gone
+    syntax._nodes[key] = dead
+    v = Var("gone_a")
+    assert syntax._nodes[key] is not dead and syntax._nodes[key]() is v
+
+
+def test_pickling_and_copying_a_formula_give_the_same_node():
+    f = parse("K(p & q) -> !r")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+
+
+def test_threads_building_one_formula_share_one_node():
+    """Four threads each build `K(t_a & !t_b) -> t_c` 3000 times, and
+    `t<i> & !t` for i below 3000, in the same order, from one start and
+    with a short switch interval, so they race to register each new key."""
+    built: list[list] = [[] for _ in range(4)]
+    start = threading.Barrier(4)
+
+    def build(out: list) -> None:
+        start.wait(timeout=60)
+        for i in range(3000):
+            out.append(Implies(Know(And(Var("t_a"), Not(Var("t_b")))), Var("t_c")))
+            out.append(And(Var(f"t{i}"), Not(Var("t"))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len({id(out[k]) for out in built for k in range(0, 6000, 2)}) == 1
+    assert all(len({id(out[k]) for out in built}) == 1 for k in range(1, 6000, 2))
+
+
 def test_var_rejects_bad_names():
     for bad in ("", "P", "1a", "a-b", "K"):
         with pytest.raises(ValueError):
@@ -358,8 +424,7 @@ def test_var_rejects_bad_names():
 @given(formulas)
 @settings(max_examples=300)
 def test_parse_render_round_trip(f):
-    assert parse(render(f)) == f
-    assert hash(parse(render(f))) == hash(f)
+    assert parse(render(f)) is f
 
 
 @given(formulas)
