@@ -11,12 +11,12 @@ integer whose bit i is the formula's truth value at canonical valuation i.
 combines them with the connectives.  The modal engine asks `_truth` of a
 cell, a subset of the full column; every value `_truth` returns lies within
 the cell it is given, so a complement is an exclusive or with the cell.
-`_truth` memoizes each node's value by the node's identity, not by its
-structure, and tells nodes apart by exact type, refusing any other type
-(the node types are closed; see `syntax.Formula`).  `_within_limits` words
-every atom limit, the modal engine's included, and since a column costs
-2^n bits it also refuses more than MAX_COLUMN_ATOMS atoms, whatever the
-limit.
+`_truth` memoizes each node's value keyed by the node, which hashes by
+identity, not by its structure, and tells nodes apart by exact type,
+refusing any other type (the node types are closed; see `syntax.Formula`).
+`_within_limits` words every atom limit, the modal engine's included, and
+since a column costs 2^n bits it also refuses more than MAX_COLUMN_ATOMS
+atoms, whatever the limit.
 Tautology, equivalence and K-free modal checks all ask `_first_valuation`
 for the index of the first valuation where a list of K-free formulas
 holds; each caller builds its own answer from that index.
@@ -129,18 +129,16 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
     result lies within `cell` (an atom's mask is cut to it, true is the
     cell, K is the cell or nothing), so `cell ^ x` is the complement of x.
     Nodes are told apart by exact type: any other type, such as a bare
-    `Formula`, raises TypeError.  Atoms skip `cache`, which maps `id(g)` to
-    the value of each other node g evaluated on this cell and these masks:
-    a lookup hashes an int, and as equal subformulas are one node (see
-    `syntax.Formula`), each is evaluated once.  An id names one node only
-    while it lives, so the caller keeps every node it evaluates alive for
-    as long as it keeps `cache`.
+    `Formula`, raises TypeError.  Atoms skip `cache`, which maps each other
+    node g evaluated on this cell and these masks to its value: equal
+    subformulas are one node, hashed by identity (see `syntax.Formula`), so
+    a lookup walks no subtree and each is evaluated once.  This is the one
+    walker that recurses, one step per level of f.
     """
     t = type(f)
     if t is Var:
         return masks[f.name] & cell
-    key = id(f)
-    hit = cache.get(key)
+    hit = cache.get(f)
     if hit is not None:
         return hit
     if t is Know:
@@ -161,7 +159,7 @@ def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
         r = 0
     else:
         raise TypeError(f"cannot evaluate a {t.__name__} node: not one of klogic's node types")
-    cache[key] = r
+    cache[f] = r
     return r
 
 
@@ -282,10 +280,9 @@ def _first(column: int) -> int:
     return (column & -column).bit_length() - 1
 
 
-def _first_valuation(names: Sequence[str], formulas: Sequence[Formula]) -> int | None:
+def _first_valuation(names: Sequence[str], formulas: Iterable[Formula]) -> int | None:
     """The index of the first valuation over `names`, in canonical order,
-    where every one of the K-free `formulas` holds, or None.  A sequence, so
-    that each of its formulas lives as long as `_truth`'s cache."""
+    where every one of the K-free `formulas` holds, or None."""
     full, masks = _columns(names)
     cache: dict = {}
     hits = full

@@ -50,7 +50,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, atoms
+from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, _post_order, atoms
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
@@ -137,27 +137,21 @@ def eval_modal(f: Formula, m: EpistemicModel, world_index: int) -> bool:
 
 
 def erase_K(f: Formula) -> Formula:
-    """Structurally replace every K(g) by g, recursively.  A K-free subtree
-    is returned as it is, and a node shared by several parents is rebuilt
-    once, so the result shares what f shares."""
-    erased: dict[int, Formula] = {}
-
-    def erase(g: Formula) -> Formula:
+    """Structurally replace every K(g) by g, at every depth.  A K-free
+    subtree is returned as it is, and each node is rebuilt once, over
+    `_post_order`, so the result shares what f shares."""
+    erased: dict[Formula, Formula] = {}
+    for g in _post_order((f,)):
+        t = type(g)
         if not g._modal_depth:
-            return g
-        r = erased.get(id(g))
-        if r is None:
-            t = type(g)
-            if t is Know:
-                r = erase(g.operand)
-            elif t is Not:
-                r = Not(erase(g.operand))
-            else:
-                r = t(erase(g.left), erase(g.right))
-            erased[id(g)] = r
-        return r
-
-    return erase(f)
+            erased[g] = g
+        elif t is Know:
+            erased[g] = erased[g.operand]
+        elif t is Not:
+            erased[g] = Not(erased[g.operand])
+        else:
+            erased[g] = t(erased[g.left], erased[g.right])
+    return erased[f]
 
 
 def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
@@ -166,34 +160,35 @@ def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
     when it may depend on the atoms in `unknown`.
 
     K(g) folds as g does, because a cell is non-empty: so K(false) folds to
-    False.  `cache` holds the nodes folded for this `unknown` set.
+    False.  `cache` maps each node folded for this `unknown` set to its
+    value; the nodes of f not in it are folded over `_post_order`.
     """
-    if f in cache:
-        return cache[f]
-    if isinstance(f, Top):
-        r = True
-    elif isinstance(f, Bottom):
-        r = False
-    elif isinstance(f, Var):
-        r = None if f.name in unknown else False
-    elif isinstance(f, Know):
-        r = _fold(f.operand, unknown, cache)
-    elif isinstance(f, Not):
-        r = _fold(f.operand, unknown, cache)
-        r = None if r is None else not r
-    else:
-        left = _fold(f.left, unknown, cache)
-        if isinstance(f, Implies) and left is not None:  # read as !left | right
-            left = not left
-        pair = (left, _fold(f.right, unknown, cache))
-        if isinstance(f, And):
-            r = False if False in pair else None if None in pair else True
-        elif isinstance(f, Iff):
-            r = None if None in pair else pair[0] == pair[1]
-        else:  # Or, and Implies as !left | right
-            r = True if True in pair else None if None in pair else False
-    cache[f] = r
-    return r
+    for g in _post_order((f,)):
+        if g in cache:
+            continue
+        t = type(g)
+        if t is Var:
+            r = None if g.name in unknown else False
+        elif t is Top or t is Bottom:
+            r = t is Top
+        elif t is Know:
+            r = cache[g.operand]
+        elif t is Not:
+            r = cache[g.operand]
+            r = None if r is None else not r
+        else:
+            left = cache[g.left]
+            if t is Implies and left is not None:  # read as !left | right
+                left = not left
+            pair = (left, cache[g.right])
+            if t is And:
+                r = False if False in pair else None if None in pair else True
+            elif t is Iff:
+                r = None if None in pair else pair[0] == pair[1]
+            else:  # Or, and Implies as !left | right
+                r = True if True in pair else None if None in pair else False
+        cache[g] = r
+    return cache[f]
 
 
 def _reduce(
@@ -233,27 +228,16 @@ def _reduce(
 
 def _k_free_parts(roots: Sequence[Formula]) -> list[Formula]:
     """The maximal K-free subformulas of `roots` other than atoms, each node
-    once.  One walk with its own stack, which stops at a K-free node and
-    otherwise goes on to its operands."""
-    parts: list[Formula] = []
-    seen: set[int] = set()
-    stack = list(roots)
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        t = type(g)
-        if not g._modal_depth:
-            if t is not Var:
-                parts.append(g)
-        elif t is Not or t is Know:
-            push(g.operand)
-        else:
-            push(g.left)
-            push(g.right)
-    return parts
+    once: the K-free roots and the K-free operands of modal nodes, read from
+    `_post_order`."""
+    parts = dict.fromkeys(roots)
+    for g in _post_order(roots):
+        if g._modal_depth:
+            if type(g) is Not or type(g) is Know:
+                parts[g.operand] = None
+            else:
+                parts[g.left] = parts[g.right] = None
+    return [g for g in parts if not g._modal_depth and type(g) is not Var]
 
 
 def _first_model(
@@ -269,7 +253,7 @@ def _first_model(
 
     full, masks = _columns(names)
     memo: dict = {}
-    columns = [(id(g), _truth(g, full, masks, memo)) for g in _k_free_parts([f, *modal])]
+    columns = [(g, _truth(g, full, masks, memo)) for g in _k_free_parts([f, *modal])]
     allowed = full
     for a in axioms:
         if not a._modal_depth:
@@ -278,7 +262,7 @@ def _first_model(
     # `allowed` itself is 0.
     cell, outside = 0, ~allowed
     while cell := ((cell | outside) + 1) & allowed:
-        cache = {key: column & cell for key, column in columns}
+        cache = {g: column & cell for g, column in columns}
         for a in modal:
             if _truth(a, cell, masks, cache) != cell:
                 break

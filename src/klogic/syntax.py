@@ -24,17 +24,22 @@ or `K` must be an atom, `[a-z][a-zA-Z0-9_]*`.
 Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
-`|` chains nest to the left.  Printing and evaluation recurse through
-every level, one step of Python's recursion limit each, so 200 levels fit.
-`parse` itself does not recurse and refuses deeper input with a ParseError;
-equality and hashing, which are by identity (see `Formula`), `subformulas`
-and `atoms` do not recurse, nor does `modal_depth`.
+`|` chains nest to the left.  `parse` does not recurse and refuses deeper
+input with a ParseError.  Of the walkers, only evaluation,
+`classical._truth`, recurses, one step of Python's recursion limit per
+level, so parsed formulas fit.  Every other walker keeps its own stack:
+`subformulas`, and `_post_order`, which lists each distinct node once after
+its operands and which printing, `repr`, pickling, `atoms` and the modal
+engine's `erase_K`, fold and K-free split read.  Equality and hashing are
+by identity (see `Formula`) and `modal_depth` reads a stored field.  So a
+formula built through the API deeper than the recursion limit can be
+printed, walked, compared and pickled, but not evaluated.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Iterator, Sequence
 from weakref import KeyedRef, _remove_dead_weakref, ref
 
 from ._record import Record
@@ -73,10 +78,10 @@ class Formula(Record):
     while an equal one lives, by `parse`, by the constructors or by
     unpickling, is that one node.  Equality and hashing are therefore by
     identity: they never walk a subtree, two equal formulas built apart
-    compare in constant time, and the identity-keyed memos of the engines
-    (see `classical._truth`) meet each subformula once.  The registry holds
-    its nodes weakly, so a node lives only as long as a caller holds it,
-    and its entry goes when it dies.  Registration uses `dict.setdefault`,
+    compare in constant time, and the walkers' memos, keyed by the node
+    (see `_post_order` and `classical._truth`), meet each subformula once.
+    The registry holds its nodes weakly, so a node lives only as long as a
+    caller holds it, and its entry goes when it dies.  Registration uses `dict.setdefault`,
     so threads that build one formula at once get one node.  The modal
     depth, 0 iff K-free, is stored on each node, made from its operands'
     depths, and `modal_depth` reads it; an operand without one is refused
@@ -134,6 +139,46 @@ class Formula(Record):
 
     def __str__(self) -> str:
         return render(self)
+
+    def __repr__(self) -> str:
+        """`Record`'s repr, `Name(field=value, ...)`, written as `render`
+        writes its text, so any depth fits under the recursion limit."""
+        text: dict[Formula, str | tuple] = {}
+        for g in _post_order((self,)):
+            t = type(g)
+            if t is Var:
+                text[g] = f"Var(name={g.name!r})"
+            elif t is Not or t is Know:
+                text[g] = (f"{t.__qualname__}(operand=", text[g.operand], ")")
+            elif t in _SYMBOL:
+                text[g] = (f"{t.__qualname__}(left=", text[g.left], ", right=", text[g.right], ")")
+            else:
+                text[g] = f"{t.__qualname__}()"
+        return _join(text[self])
+
+    def __reduce__(self):
+        """Pickle and copy as a flat program, the nodes of `_post_order`, each
+        as its type and fields with an operand given by its place in the
+        list, which `_rebuild` runs; so any depth fits under the recursion
+        limit, and a copy is the node itself.  A pickle in `Record`'s form,
+        each node as its type and its fields, still loads, through the
+        constructors."""
+        order = _post_order((self,))
+        place = {g: k for k, g in enumerate(order)}
+        program = [
+            (type(g), *[v if type(v) is str else place[v] for v in g._values()]) for g in order
+        ]
+        return _rebuild, (program,)
+
+
+def _rebuild(program: list[tuple]) -> Formula:
+    """The last node of a program `Formula.__reduce__` wrote, each entry built
+    through its type's constructor, with an int field standing for the node
+    built at that place."""
+    built: list[Formula] = []
+    for t, *fields in program:
+        built.append(t(*[v if type(v) is str else built[v] for v in fields]))
+    return built[-1]
 
 
 class Top(Formula):
@@ -221,11 +266,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-# Binding strength of each connective; prefix operators and atoms bind tightest.
-_PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3}
+# Binding strength of each node type; prefix operators and atoms bind tightest.
+_PRECEDENCE = {Iff: 0, Implies: 1, Or: 2, And: 3, Not: 4, Know: 4, Var: 4, Top: 4, Bottom: 4}
 _SYMBOL = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
 _CONNECTIVE = {symbol: node for node, symbol in _SYMBOL.items()}
-_PREFIX_LEVEL = 4
+# Each connective's text, and the binding strength its left and its right
+# operand need to go without parentheses: one above its own on the left of
+# -> and <->, which associate to the right, and on the right of & and |.
+_INFIX = {Iff: (" <-> ", 1, 0), Implies: (" -> ", 2, 1), Or: (" | ", 2, 3), And: (" & ", 3, 4)}
 
 
 def _leaf(tok: _Token) -> Formula:
@@ -336,32 +384,48 @@ def parse(text: str) -> Formula:
                 return done.pop()[0]
 
 
-def _render(f: Formula, context: int) -> str:
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, Know):
-        return f"K({_render(f.operand, 0)})"
-    if isinstance(f, Not):
-        return "!" + _render(f.operand, _PREFIX_LEVEL)
-    level = _PRECEDENCE[type(f)]
-    # Left-associative: & and |; right-associative: -> and <->.
-    if isinstance(f, (And, Or)):
-        left = _render(f.left, level)
-        right = _render(f.right, level + 1)
-    else:
-        left = _render(f.left, level + 1)
-        right = _render(f.right, level)
-    text = f"{left} {_SYMBOL[type(f)]} {right}"
-    return f"({text})" if level < context else text
-
-
 def render(f: Formula) -> str:
-    """Minimally parenthesized concrete syntax; parse(render(f)) is f."""
-    return _render(f, 0)
+    """Minimally parenthesized concrete syntax; parse(render(f)) is f.
+
+    Each node's text is made once, over `_post_order`, as a tuple of
+    strings and its operands' texts, and `_join` writes it out, so the time
+    and memory follow the length of the text, not its length times f's
+    depth.  An operand is parenthesized when it binds more loosely than its
+    place in the parent allows."""
+    text: dict[Formula, str | tuple] = {}
+    for g in _post_order((f,)):
+        t = type(g)
+        if t is Var:
+            text[g] = g.name
+        elif t is Top or t is Bottom:
+            text[g] = "true" if t is Top else "false"
+        elif t is Know:
+            text[g] = ("K(", text[g.operand], ")")
+        elif t is Not:  # a connective under ! is parenthesized
+            operand = text[g.operand]
+            text[g] = ("!(", operand, ")") if type(g.operand) in _SYMBOL else ("!", operand)
+        else:
+            symbol, left_level, right_level = _INFIX[t]
+            left, right = text[g.left], text[g.right]
+            if _PRECEDENCE[type(g.left)] < left_level:
+                left = ("(", left, ")")
+            if _PRECEDENCE[type(g.right)] < right_level:
+                right = ("(", right, ")")
+            text[g] = (left, symbol, right)
+    return _join(text[f])
+
+
+def _join(rope: str | tuple) -> str:
+    """The text of a rope, a string or a tuple of ropes read left to right,
+    with its own stack."""
+    out, stack = [], [rope]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+        else:
+            stack += reversed(piece)
+    return "".join(out)
 
 
 _UNARY = (Not, Know)
@@ -386,28 +450,45 @@ def subformulas(f: Formula) -> Iterator[Formula]:
 
 
 def atoms(f: Formula) -> tuple[str, ...]:
-    """All distinct atom names in f, sorted lexicographically.
+    """All distinct atom names in f, sorted lexicographically.  Read from
+    `_post_order`, so a formula built with shared subterms costs time linear
+    in its distinct nodes, not in its occurrences."""
+    return tuple(sorted({g.name for g in _post_order((f,)) if type(g) is Var}))
 
-    One walk with its own stack, dispatching on exact type, that expands
-    each node once, by id: so a formula built with shared subterms costs
-    time linear in its distinct nodes, not in its occurrences."""
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [f]
-    pop, push, see = stack.pop, stack.append, seen.add
+
+def _post_order(roots: Sequence[Formula]) -> list[Formula]:
+    """Each distinct node under `roots` once, after its operands, a left
+    operand's nodes before a right operand's and an earlier root's before a
+    later one's.  Every walker that reads a node after its operands reads
+    this list, filling a dict keyed by the node.
+
+    One explicit stack, so any depth fits under the recursion limit: a node
+    not yet listed goes back on the stack under a `None` marker and its
+    operands, and is listed when the marker comes off; a node without
+    operands is listed at once.  A formula is acyclic, so no node comes off
+    the stack again while its operands are being listed, and the listed
+    nodes are the only ones to skip."""
+    order: dict[Formula, None] = {}
+    stack: list[Formula | None] = [*reversed(roots)]
+    pop, push = stack.pop, stack.append
     while stack:
         g = pop()
-        t = type(g)
-        if t is Var:
-            names.add(g.name)
-        elif id(g) not in seen:
-            see(id(g))
+        if g is None:
+            order[pop()] = None
+        elif g not in order:
+            t = type(g)
             if t is Not or t is Know:
+                push(g)
+                push(None)
                 push(g.operand)
-            elif t is not Top and t is not Bottom:
-                push(g.left)
+            elif t in _SYMBOL:
+                push(g)
+                push(None)
                 push(g.right)
-    return tuple(sorted(names))
+                push(g.left)
+            else:
+                order[g] = None
+    return list(order)
 
 
 def modal_depth(f: Formula) -> int:

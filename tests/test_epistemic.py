@@ -511,6 +511,46 @@ def test_the_reduction_stops_once_the_search_passes_the_atom_limit(monkeypatch):
     assert folds == [Var("b0"), Var("b1"), Var("b2"), Var("b3")]
 
 
+def _reference_fold(f, unknown: set[str], cache: dict):
+    """The recursive fold `epistemic._fold` replaced, kept as a reference."""
+    if f in cache:
+        return cache[f]
+    if isinstance(f, Top):
+        r = True
+    elif isinstance(f, Bottom):
+        r = False
+    elif isinstance(f, Var):
+        r = None if f.name in unknown else False
+    elif isinstance(f, Know):
+        r = _reference_fold(f.operand, unknown, cache)
+    elif isinstance(f, Not):
+        r = _reference_fold(f.operand, unknown, cache)
+        r = None if r is None else not r
+    else:
+        left = _reference_fold(f.left, unknown, cache)
+        if isinstance(f, Implies) and left is not None:  # read as !left | right
+            left = not left
+        pair = (left, _reference_fold(f.right, unknown, cache))
+        if isinstance(f, And):
+            r = False if False in pair else None if None in pair else True
+        elif isinstance(f, Iff):
+            r = None if None in pair else pair[0] == pair[1]
+        else:  # Or, and Implies as !left | right
+            r = True if True in pair else None if None in pair else False
+    cache[f] = r
+    return r
+
+
+@given(any_formulas, any_formulas, st.randoms(use_true_random=False))
+def test_the_fold_matches_its_recursive_reference(f, g, rnd):
+    """Over one cache, as the reduction folds the axioms of one pass."""
+    unknown = {a for a in atoms(f) + atoms(g) if rnd.random() < 0.5}
+    cache: dict = {}
+    assert epistemic._fold(f, unknown, {}) is _reference_fold(f, unknown, {})
+    for h in (f, g, f):
+        assert epistemic._fold(h, unknown, cache) is _reference_fold(h, unknown, {})
+
+
 @given(any_formulas)
 @settings(max_examples=150)
 def test_collapse_on_singleton_models(f):

@@ -23,15 +23,21 @@ from klogic import (
     Not,
     Or,
     ParseError,
+    Theory,
     Top,
     Var,
+    Verdict,
     atoms,
+    erase_K,
+    is_satisfiable,
     modal_depth,
     parse,
     render,
     subformulas,
 )
 from klogic import syntax
+from klogic._record import Record
+from klogic.syntax import Formula
 from klogic.syntax import MAX_FORMULA_DEPTH, RESERVED_WORDS, is_atom_name
 
 atom_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,3}", fullmatch=True).filter(
@@ -284,12 +290,13 @@ def test_subformulas_cover_the_tree():
     assert {f, Know(Var("p")), Var("p"), Not(Var("q")), Var("q")} <= seen
 
 
-def _api_chain(depth: int, leaf: str):
-    """A formula `depth` levels deep, built through the constructors."""
+def _api_chain(depth: int, leaf: str, know=Know):
+    """A formula `depth` levels deep, built through the constructors, with
+    `know` in place of `Know`."""
     f = Var(leaf)
     wrap = (
         Not,
-        Know,
+        know,
         lambda g: And(g, Var("p")),
         lambda g: Or(Top(), g),
         lambda g: Implies(g, Bottom()),
@@ -298,6 +305,33 @@ def _api_chain(depth: int, leaf: str):
     for level in range(depth):
         f = wrap[level % len(wrap)](f)
     return f
+
+
+def _api_chain_texts(depth: int, leaf: str) -> tuple[str, str]:
+    """`render` and `repr` of `_api_chain(depth, leaf)`, built level by
+    level beside it: `!` parenthesizes the `<->` below it, and no other
+    wrapper needs parentheses."""
+    text, record = leaf, f"Var(name={leaf!r})"
+    wrap = (
+        lambda s: f"!{s}" if s == leaf else f"!({s})",
+        "K({})".format,
+        "{} & p".format,
+        "true | {}".format,
+        "{} -> false".format,
+        "q <-> {}".format,
+    )
+    wrap_record = (
+        "Not(operand={})".format,
+        "Know(operand={})".format,
+        "And(left={}, right=Var(name='p'))".format,
+        "Or(left=Top(), right={})".format,
+        "Implies(left={}, right=Bottom())".format,
+        "Iff(left=Var(name='q'), right={})".format,
+    )
+    for level in range(depth):
+        text = wrap[level % len(wrap)](text)
+        record = wrap_record[level % len(wrap_record)](record)
+    return text, record
 
 
 def test_hashing_deep_api_formulas_does_not_recurse():
@@ -318,6 +352,52 @@ def test_subformulas_and_atoms_of_a_deep_api_formula_do_not_recurse():
     assert len(nodes) == 833 * 10 + 3
     assert nodes[0] is f
     assert atoms(f) == ("a", "p", "q")
+
+
+def test_every_public_walker_reads_a_deep_api_formula_without_recursing():
+    """A formula 5000 levels deep, five times the default recursion limit,
+    is printed, erased, pickled, copied and folded away by the reduction."""
+    f = _api_chain(5000, "a")
+    text, record = _api_chain_texts(5000, "a")
+    # Compared outside `assert`, whose diff of two texts this long takes minutes.
+    assert [render(f) == text, str(f) == text, repr(f) == record] == [True, True, True]
+    assert erase_K(f) is _api_chain(5000, "a", know=lambda g: g)
+    assert modal_depth(f) == 834
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(f, protocol)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    # The deep axiom folds to true, so the search drops it and reaches only z.
+    result = is_satisfiable(Var("z"), Theory((Or(Top(), f),)))
+    assert result.verdict is Verdict.SATISFIABLE
+    assert result.model.atoms == ("a", "p", "q", "z")
+
+
+def _reference_post_order(roots) -> list:
+    """Each distinct node under `roots` at its first occurrence, after its
+    operands, left before right, by recursion."""
+    order: dict = {}
+
+    def walk(g) -> None:
+        if g in order:
+            return
+        if isinstance(g, (Not, Know)):
+            walk(g.operand)
+        elif isinstance(g, (And, Or, Implies, Iff)):
+            walk(g.left)
+            walk(g.right)
+        order.setdefault(g)
+
+    for root in roots:
+        walk(root)
+    return list(order)
+
+
+@given(st.lists(formulas, min_size=1, max_size=3))
+def test_the_post_order_lists_each_distinct_node_once_after_its_operands(roots):
+    order = syntax._post_order(roots)
+    assert order == _reference_post_order(roots)
+    assert len(set(map(id, order))) == len(order)
 
 
 def _pre_order(f) -> list:
@@ -385,6 +465,21 @@ def test_pickling_and_copying_a_formula_give_the_same_node():
     assert pickle.loads(pickle.dumps(f)) is f
     assert copy.copy(f) is f
     assert copy.deepcopy(f) is f
+    # Pickles written as `Record` writes them, each node as its type and its
+    # fields, at protocols 0 and 2, still load.
+    record_form = (
+        b"cklogic.syntax\nImplies\np0\n(cklogic.syntax\nKnow\np1\n(cklogic.syntax\nAnd\n"
+        b"p2\n(cklogic.syntax\nVar\np3\n(Vp\np4\ntp5\nRp6\ng3\n(Vq\np7\ntp8\nRp9\ntp10\n"
+        b"Rp11\ntp12\nRp13\ncklogic.syntax\nNot\np14\n(g3\n(Vr\np15\ntp16\nRp17\ntp18\n"
+        b"Rp19\ntp20\nRp21\n.",
+        b"\x80\x02cklogic.syntax\nImplies\nq\x00cklogic.syntax\nKnow\nq\x01cklogic.syntax\n"
+        b"And\nq\x02cklogic.syntax\nVar\nq\x03X\x01\x00\x00\x00pq\x04\x85q\x05Rq\x06h\x03"
+        b"X\x01\x00\x00\x00qq\x07\x85q\x08Rq\t\x86q\nRq\x0b\x85q\x0cRq\rcklogic.syntax\n"
+        b"Not\nq\x0eh\x03X\x01\x00\x00\x00rq\x0f\x85q\x10Rq\x11\x85q\x12Rq\x13\x86q\x14"
+        b"Rq\x15.",
+    )
+    for data in record_form:
+        assert pickle.loads(data) is f
 
 
 def test_threads_building_one_formula_share_one_node():
@@ -430,6 +525,47 @@ def test_parse_render_round_trip(f):
 @given(formulas)
 def test_render_is_stable(f):
     assert render(parse(render(f))) == render(f)
+
+
+def _reference_render(f, context: int = 0) -> str:
+    """The recursive printer `render` replaced, kept as a reference."""
+    precedence = {Iff: 0, Implies: 1, Or: 2, And: 3}
+    symbol = {Iff: "<->", Implies: "->", Or: "|", And: "&"}
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Know):
+        return f"K({_reference_render(f.operand, 0)})"
+    if isinstance(f, Not):
+        return "!" + _reference_render(f.operand, 4)
+    level = precedence[type(f)]
+    # Left-associative: & and |; right-associative: -> and <->.
+    if isinstance(f, (And, Or)):
+        left = _reference_render(f.left, level)
+        right = _reference_render(f.right, level + 1)
+    else:
+        left = _reference_render(f.left, level + 1)
+        right = _reference_render(f.right, level)
+    text = f"{left} {symbol[type(f)]} {right}"
+    return f"({text})" if level < context else text
+
+
+def _record_repr(f) -> str:
+    """`Record.__repr__`'s text at every level, by recursion."""
+    fields = ", ".join(
+        f"{name}={_record_repr(v) if isinstance(v, Formula) else repr(v)}"
+        for name, v in zip(f.__match_args__, f._values())
+    )
+    return f"{type(f).__qualname__}({fields})"
+
+
+@given(formulas)
+def test_render_and_repr_match_their_recursive_references(f):
+    assert render(f) == _reference_render(f)
+    assert repr(f) == Record.__repr__(f) == _record_repr(f)
 
 
 @given(st.text(max_size=30))
