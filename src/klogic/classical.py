@@ -7,13 +7,15 @@ results are reproducible bit for bit.
 
 Formulas are evaluated as columns: a column over n atoms is a 2^n-bit
 integer whose bit i is the formula's truth value at canonical valuation i.
-`_columns` builds the full column and one column per atom, and `_truth`
-combines them with the connectives.  The modal engine asks `_truth` of a
-cell, a subset of the full column; every value `_truth` returns lies within
-the cell it is given, so a complement is an exclusive or with the cell.
-`_truth` memoizes each node's value keyed by the node, which hashes by
-identity, not by its structure, and tells nodes apart by exact type,
-refusing any other type (the node types are closed; see `syntax.Formula`).
+`_columns` builds the full column and one column per atom, keyed by its
+`Var` node, and `_truth` combines them with the connectives, one loop over
+`syntax._post_order`, so a formula of any depth is evaluated.  The modal
+engine asks `_truth` of a cell, a subset of the full column; every value
+`_truth` gives lies within the cell it is given, so a complement is an
+exclusive or with the cell.  `_truth` fills one dict, keyed by the node,
+which hashes by identity, not by its structure, and tells nodes apart by
+exact type, refusing any other type (the node types are closed; see
+`syntax.Formula`).
 `_within_limits` words every atom limit, the modal engine's included, and
 since a column costs 2^n bits it also refuses more than MAX_COLUMN_ATOMS
 atoms, whatever the limit.
@@ -41,6 +43,7 @@ from .syntax import (
     Or,
     Top,
     Var,
+    _post_order,
     atoms,
     render,
 )
@@ -97,7 +100,7 @@ def eval_classical(f: Formula, v: Valuation) -> bool:
     """Standard truth-functional evaluation of a K-free formula."""
     _require_k_free([f])
     _require_assigned(f, v.atoms, "valuation")
-    return bool(_truth(f, 1, {a: int(b) for a, b in zip(v.atoms, v.bits)}, {}))
+    return bool(_truth((f,), 1, {Var(a): int(b) for a, b in zip(v.atoms, v.bits)}))
 
 
 def _require_assigned(f: Formula, names: Sequence[str], holder: str) -> None:
@@ -106,8 +109,9 @@ def _require_assigned(f: Formula, names: Sequence[str], holder: str) -> None:
         raise UnknownAtom(f"atom '{min(missing)}' is not assigned by this {holder}")
 
 
-def _columns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
-    """The full column over `names` and the column of each atom.
+def _columns(names: Sequence[str]) -> tuple[int, dict[Formula, int]]:
+    """The full column over `names` and the column of each atom, keyed by
+    its `Var` node.
 
     Built by doubling: prefixing a more significant atom copies every column
     into the upper half, where the new atom is true.
@@ -118,49 +122,56 @@ def _columns(names: Sequence[str]) -> tuple[int, dict[str, int]]:
         masks = [m | (m << width) for m in masks]
         masks.append(full << width)
         full |= full << width
-    return full, dict(zip(names, reversed(masks)))
+    return full, dict(zip(map(Var, names), reversed(masks)))
 
 
-def _truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
-    """The set of worlds of `cell` where f holds, as a bitmask.
+def _truth(
+    roots: Sequence[Formula],
+    cell: int,
+    known: dict[Formula, int],
+    order: Sequence[Formula] | None = None,
+) -> int:
+    """The worlds of `cell` where every one of `roots` holds, as a bitmask,
+    having evaluated into `known` each node of `order`, which by default is
+    `_post_order(roots, known)`, the nodes under `roots` that `known` lacks.
 
-    Bit j of `cell` and of each atom's mask stands for world j; K(g) holds
-    at every world of the cell when g does, and at none otherwise.  Every
-    result lies within `cell` (an atom's mask is cut to it, true is the
-    cell, K is the cell or nothing), so `cell ^ x` is the complement of x.
-    Nodes are told apart by exact type: any other type, such as a bare
-    `Formula`, raises TypeError.  Atoms skip `cache`, which maps each other
-    node g evaluated on this cell and these masks to its value: equal
-    subformulas are one node, hashed by identity (see `syntax.Formula`), so
-    a lookup walks no subtree and each is evaluated once.  This is the one
-    walker that recurses, one step per level of f.
+    `known` maps each atom's `Var` node, and each node already evaluated, to
+    the set of worlds of `cell` where it holds: bit j stands for world j.  A
+    caller that evaluates the same roots on many cells, over a `known` with
+    the same keys each time, lists the nodes once and passes them as
+    `order`.  K(g) holds at every world of the cell when g does, and at none
+    otherwise.  Every value lies within `cell` (the caller cuts the atoms'
+    columns to it, true is the cell, K is the cell or nothing), so
+    `cell ^ x` is the complement of x.  Nodes are told apart by exact type:
+    any other type, such as a bare `Formula`, raises TypeError, and an atom
+    missing from `known` raises KeyError.
     """
-    t = type(f)
-    if t is Var:
-        return masks[f.name] & cell
-    hit = cache.get(f)
-    if hit is not None:
-        return hit
-    if t is Know:
-        r = cell if _truth(f.operand, cell, masks, cache) == cell else 0
-    elif t is Not:
-        r = cell ^ _truth(f.operand, cell, masks, cache)
-    elif t is And:
-        r = _truth(f.left, cell, masks, cache) & _truth(f.right, cell, masks, cache)
-    elif t is Or:
-        r = _truth(f.left, cell, masks, cache) | _truth(f.right, cell, masks, cache)
-    elif t is Implies:
-        r = (cell ^ _truth(f.left, cell, masks, cache)) | _truth(f.right, cell, masks, cache)
-    elif t is Iff:
-        r = cell ^ _truth(f.left, cell, masks, cache) ^ _truth(f.right, cell, masks, cache)
-    elif t is Top:
-        r = cell
-    elif t is Bottom:
-        r = 0
-    else:
-        raise TypeError(f"cannot evaluate a {t.__name__} node: not one of klogic's node types")
-    cache[f] = r
-    return r
+    for g in _post_order(roots, known) if order is None else order:
+        t = type(g)
+        if t is Know:
+            r = cell if known[g.operand] == cell else 0
+        elif t is Not:
+            r = cell ^ known[g.operand]
+        elif t is And:
+            r = known[g.left] & known[g.right]
+        elif t is Or:
+            r = known[g.left] | known[g.right]
+        elif t is Implies:
+            r = (cell ^ known[g.left]) | known[g.right]
+        elif t is Iff:
+            r = cell ^ known[g.left] ^ known[g.right]
+        elif t is Top:
+            r = cell
+        elif t is Bottom:
+            r = 0
+        elif t is Var:
+            raise KeyError(g)
+        else:
+            raise TypeError(f"cannot evaluate a {t.__name__} node: not one of klogic's node types")
+        known[g] = r
+    for f in roots:
+        cell &= known[f]
+    return cell
 
 
 class ConstraintSet(Record):
@@ -280,14 +291,11 @@ def _first(column: int) -> int:
     return (column & -column).bit_length() - 1
 
 
-def _first_valuation(names: Sequence[str], formulas: Iterable[Formula]) -> int | None:
+def _first_valuation(names: Sequence[str], formulas: Sequence[Formula]) -> int | None:
     """The index of the first valuation over `names`, in canonical order,
     where every one of the K-free `formulas` holds, or None."""
-    full, masks = _columns(names)
-    cache: dict = {}
-    hits = full
-    for f in formulas:
-        hits &= _truth(f, full, masks, cache)
+    full, known = _columns(names)
+    hits = _truth(formulas, full, known)
     return _first(hits) if hits else None
 
 
@@ -303,8 +311,8 @@ def truth_table(
     """
     formulas = tuple(formulas)
     order = _prepare(formulas, constraints, atom_limit)
-    full, masks = _columns(order)
-    cache: dict = {}
+    full, known = _columns(order)
+    _truth([*constraints, *formulas], full, known)
     width = f"0{1 << len(order)}b"
 
     def bits(column: int) -> str:  # character i is bit i
@@ -313,7 +321,7 @@ def truth_table(
     allowed = full
     constraint_bits = []
     for c in constraints:
-        column = _truth(c, full, masks, cache)
+        column = known[c]
         allowed &= column
         constraint_bits.append(bits(column))
     return TruthTable(
@@ -321,7 +329,7 @@ def truth_table(
         formulas,
         constraints.constraints,
         tuple(constraint_bits),
-        tuple(bits(_truth(f, full, masks, cache)) for f in formulas),
+        tuple(bits(known[f]) for f in formulas),
         bits(full & ~allowed),
     )
 

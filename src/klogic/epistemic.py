@@ -32,10 +32,13 @@ equivalence.  The K-free axioms are read once, into `allowed`, the
 valuations where all of them hold, and the cells tried are the non-empty
 subsets of `allowed`: a cell with a world outside it fails such an axiom
 there, so skipping it is exact, and the order among the rest is unchanged.
-On each cell the modal axioms and the query are evaluated, over a memo
-that starts with the columns over V, computed once per search and cut to
-the cell, of their maximal K-free subformulas other than atoms.  Either
-search ends in a cell and the index of its designated valuation.
+The search is set up once: the K-free axioms, and the maximal K-free
+subformulas of the modal axioms and the query, atoms included, are
+evaluated over V, and `_post_order` lists once the nodes left under the
+query and K of each modal axiom; a modal axiom holds at every world of a
+cell iff K of it holds at one.  On each cell that list is evaluated over
+those columns cut to the cell.  Either search ends in a cell and the index
+of its designated valuation.
 
 Padding.  The model is built from that cell over the sorted atoms of the
 query, the whole theory and any extra atoms the caller names, those
@@ -129,11 +132,11 @@ def eval_modal(f: Formula, m: EpistemicModel, world_index: int) -> bool:
     if not 0 <= world_index < len(m.cell):
         raise IndexError(f"world index {world_index} outside cell of size {len(m.cell)}")
     _require_assigned(f, m.atoms, "model")
-    masks = {
-        name: sum(v.bits[k] << j for j, v in enumerate(m.cell))
+    known = {
+        Var(name): sum(v.bits[k] << j for j, v in enumerate(m.cell))
         for k, name in enumerate(m.atoms)
     }
-    return bool(_truth(f, (1 << len(m.cell)) - 1, masks, {}) >> world_index & 1)
+    return bool(_truth((f,), (1 << len(m.cell)) - 1, known) >> world_index & 1)
 
 
 def erase_K(f: Formula) -> Formula:
@@ -163,9 +166,7 @@ def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
     False.  `cache` maps each node folded for this `unknown` set to its
     value; the nodes of f not in it are folded over `_post_order`.
     """
-    for g in _post_order((f,)):
-        if g in cache:
-            continue
+    for g in _post_order((f,), cache):
         t = type(g)
         if t is Var:
             r = None if g.name in unknown else False
@@ -227,7 +228,7 @@ def _reduce(
 
 
 def _k_free_parts(roots: Sequence[Formula]) -> list[Formula]:
-    """The maximal K-free subformulas of `roots` other than atoms, each node
+    """The maximal K-free subformulas of `roots`, atoms included, each node
     once: the K-free roots and the K-free operands of modal nodes, read from
     `_post_order`."""
     parts = dict.fromkeys(roots)
@@ -237,7 +238,7 @@ def _k_free_parts(roots: Sequence[Formula]) -> list[Formula]:
                 parts[g.operand] = None
             else:
                 parts[g.left] = parts[g.right] = None
-    return [g for g in parts if not g._modal_depth and type(g) is not Var]
+    return [g for g in parts if not g._modal_depth]
 
 
 def _first_model(
@@ -251,25 +252,19 @@ def _first_model(
         first = _first_valuation(names, [f, *axioms])
         return None if first is None else (1 << first, first)
 
-    full, masks = _columns(names)
-    memo: dict = {}
-    columns = [(g, _truth(g, full, masks, memo)) for g in _k_free_parts([f, *modal])]
-    allowed = full
-    for a in axioms:
-        if not a._modal_depth:
-            allowed &= _truth(a, full, masks, memo)
+    full, columns = _columns(names)
+    parts = _k_free_parts([f, *modal])
+    _truth(parts, full, columns)
+    allowed = _truth([a for a in axioms if not a._modal_depth], full, columns)
+    parts = [(g, columns[g]) for g in parts]
+    roots = [*map(Know, modal), f]
+    order = _post_order(roots, columns)
     # The non-empty submasks of `allowed` in ascending order: the step after
     # `allowed` itself is 0.
     cell, outside = 0, ~allowed
     while cell := ((cell | outside) + 1) & allowed:
-        cache = {g: column & cell for g, column in columns}
-        for a in modal:
-            if _truth(a, cell, masks, cache) != cell:
-                break
-        else:
-            t = _truth(f, cell, masks, cache)
-            if t:
-                return cell, _first(t)
+        if t := _truth(roots, cell, {g: column & cell for g, column in parts}, order):
+            return cell, _first(t)
     return None
 
 

@@ -25,27 +25,27 @@ Nesting is limited to MAX_FORMULA_DEPTH levels.  Every `!`, `K(...)`,
 parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
 `|` chains nest to the left.  `parse` does not recurse and refuses deeper
-input with a ParseError.  Of the walkers, only evaluation,
-`classical._truth`, recurses, one step of Python's recursion limit per
-level, so parsed formulas fit.  Every other walker keeps its own stack:
-`subformulas`, and `_post_order`, which lists each distinct node once after
-its operands and which printing, `repr`, pickling, `atoms` and the modal
-engine's `erase_K`, fold and K-free split read.  Equality and hashing are
-by identity (see `Formula`) and `modal_depth` reads a stored field.  So a
-formula built through the API deeper than the recursion limit can be
-printed, walked, compared and pickled, but not evaluated.
+input with a ParseError.  The limit bounds the input, not recursion: no
+walker recurses.  Each keeps its own stack: `subformulas`, and
+`_post_order`, which lists each distinct node once after its operands and
+which printing, `repr`, pickling, `atoms`, evaluation (`classical._truth`)
+and the modal engine's `erase_K`, fold and K-free split read.  Equality and
+hashing are by identity (see `Formula`) and `modal_depth` reads a stored
+field.  So a formula built through the API may be deeper than the limit or
+than Python's recursion limit, and is printed, walked, compared, pickled
+and evaluated all the same.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterator, Sequence
+from typing import Container, Iterator, Sequence
 from weakref import KeyedRef, _remove_dead_weakref, ref
 
 from ._record import Record
 from .errors import LogicError
 
-MAX_FORMULA_DEPTH = 200
+MAX_FORMULA_DEPTH = 200  # a bound on parsed input, not on recursion
 
 RESERVED_WORDS = frozenset({"K", "and", "or", "not", "implies", "iff", "true", "false"})
 
@@ -88,8 +88,9 @@ class Formula(Record):
     with TypeError, and an atom's name is checked when its node is first
     built.  The node classes are closed: once the nine below are defined,
     any further subclass, of `Formula` or of one of them, raises TypeError,
-    so every walker may dispatch on exact type and none meets a node it
-    does not know.
+    and so does building a `Formula` itself, so every walker may dispatch on
+    exact type and none meets a node it does not know.  No walker recurses
+    (see `_post_order`), so a node may be nested to any depth.
     """
 
     def __init_subclass__(cls, **kwargs):
@@ -127,6 +128,8 @@ class Formula(Record):
             _remove_dead_weakref(_nodes, key)  # the entry of a node that died, if one is left
             if cls is Var and not is_atom_name(args[0]):  # a registered name is valid
                 raise ValueError(f"invalid atom name: {args[0]!r}")
+            if cls is Formula:  # never registered, so every attempt comes here
+                raise TypeError("cannot build a Formula, the abstract base of klogic's node types")
             node = object.__new__(cls)
             node.__dict__.update(zip(fields, args), _modal_depth=depth)
             # Built by `ref`'s constructor, in C: KeyedRef's own runs in Python
@@ -456,18 +459,20 @@ def atoms(f: Formula) -> tuple[str, ...]:
     return tuple(sorted({g.name for g in _post_order((f,)) if type(g) is Var}))
 
 
-def _post_order(roots: Sequence[Formula]) -> list[Formula]:
+def _post_order(roots: Sequence[Formula], known: Container = ()) -> list[Formula]:
     """Each distinct node under `roots` once, after its operands, a left
     operand's nodes before a right operand's and an earlier root's before a
-    later one's.  Every walker that reads a node after its operands reads
-    this list, filling a dict keyed by the node.
+    later one's, leaving out the nodes in `known` and everything reached
+    only through them.  Every walker that reads a node after its operands
+    reads this list, filling a dict keyed by the node; passing that dict
+    as `known` lists only the nodes it still lacks.
 
     One explicit stack, so any depth fits under the recursion limit: a node
     not yet listed goes back on the stack under a `None` marker and its
     operands, and is listed when the marker comes off; a node without
     operands is listed at once.  A formula is acyclic, so no node comes off
     the stack again while its operands are being listed, and the listed
-    nodes are the only ones to skip."""
+    and the known nodes are the only ones to skip."""
     order: dict[Formula, None] = {}
     stack: list[Formula | None] = [*reversed(roots)]
     pop, push = stack.pop, stack.append
@@ -475,7 +480,7 @@ def _post_order(roots: Sequence[Formula]) -> list[Formula]:
         g = pop()
         if g is None:
             order[pop()] = None
-        elif g not in order:
+        elif g not in order and g not in known:
             t = type(g)
             if t is Not or t is Know:
                 push(g)

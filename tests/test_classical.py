@@ -33,6 +33,7 @@ from klogic import (
     valuation_at,
 )
 from klogic.classical import _columns, _truth
+from klogic.syntax import _post_order
 from oracles import canonical_worlds, oracle_eval, oracle_eval_modal
 
 from test_syntax import atom_names, formulas as any_formulas
@@ -118,8 +119,9 @@ def test_doubled_columns_match_canonical_valuations():
         names = tuple(f"a{k}" for k in range(n))
         full, masks = _columns(names)
         assert full == (1 << (1 << n)) - 1
+        assert list(masks) == [Var(a) for a in names]
         for i in range(1 << n):
-            bits = tuple(bool(masks[a] >> i & 1) for a in names)
+            bits = tuple(bool(masks[Var(a)] >> i & 1) for a in names)
             assert bits == valuation_at(names, i).bits
 
 
@@ -127,11 +129,11 @@ def test_doubled_columns_match_canonical_valuations():
 @settings(max_examples=200)
 def test_truth_stays_within_the_cell_and_matches_the_reference_at_every_world(f, data):
     """Atom masks carry bits outside the cell, as a column over every
-    valuation does when a cell is a subset of it."""
+    valuation does when a cell is a subset of it; the caller cuts them."""
     width = data.draw(st.integers(1, 8))
     cell = data.draw(st.integers(1, (1 << width) - 1))
     masks = {a: data.draw(st.integers(0, (1 << width) - 1)) for a in atoms(f)}
-    result = _truth(f, cell, masks, {})
+    result = _truth((f,), cell, {Var(a): m & cell for a, m in masks.items()})
     assert result & ~cell == 0
     worlds_at = [j for j in range(width) if cell >> j & 1]
     worlds = [{a: bool(m >> j & 1) for a, m in masks.items()} for j in worlds_at]
@@ -139,10 +141,82 @@ def test_truth_stays_within_the_cell_and_matches_the_reference_at_every_world(f,
         assert bool(result >> j & 1) == oracle_eval_modal(f, worlds, i)
 
 
-@pytest.mark.parametrize("node", [Formula()])
+def _reference_truth(f: Formula, cell: int, masks: dict[str, int], cache: dict) -> int:
+    """The recursive evaluator `_truth` replaced: atoms read `masks`, cut to
+    the cell, and `cache` holds every other node evaluated."""
+    t = type(f)
+    if t is Var:
+        return masks[f.name] & cell
+    hit = cache.get(f)
+    if hit is not None:
+        return hit
+    if t is Know:
+        r = cell if _reference_truth(f.operand, cell, masks, cache) == cell else 0
+    elif t is Not:
+        r = cell ^ _reference_truth(f.operand, cell, masks, cache)
+    elif t is And:
+        r = _reference_truth(f.left, cell, masks, cache) & _reference_truth(
+            f.right, cell, masks, cache
+        )
+    elif t is Or:
+        r = _reference_truth(f.left, cell, masks, cache) | _reference_truth(
+            f.right, cell, masks, cache
+        )
+    elif t is Implies:
+        r = (cell ^ _reference_truth(f.left, cell, masks, cache)) | _reference_truth(
+            f.right, cell, masks, cache
+        )
+    elif t is Iff:
+        r = (
+            cell
+            ^ _reference_truth(f.left, cell, masks, cache)
+            ^ _reference_truth(f.right, cell, masks, cache)
+        )
+    elif t is Top:
+        r = cell
+    elif t is Bottom:
+        r = 0
+    else:
+        raise TypeError(f"cannot evaluate a {t.__name__} node: not one of klogic's node types")
+    cache[f] = r
+    return r
+
+
+@given(st.lists(any_formulas, min_size=1, max_size=3), st.data())
+@settings(max_examples=200)
+def test_truth_matches_its_recursive_reference(roots, data):
+    """Each root alone over a fresh memo; every root over one memo, filled
+    root by root; and all the roots at once, listed by `_truth` or ahead."""
+    width = data.draw(st.integers(1, 8))
+    cell = data.draw(st.integers(1, (1 << width) - 1))
+    names = sorted(set().union(*map(atoms, roots)))
+    masks = {a: data.draw(st.integers(0, (1 << width) - 1)) for a in names}
+    columns = {Var(a): m & cell for a, m in masks.items()}
+    for f in roots:
+        assert _truth((f,), cell, dict(columns)) == _reference_truth(f, cell, masks, {})
+    known, cache = dict(columns), {}
+    for f in roots:
+        assert _truth((f,), cell, known) == _reference_truth(f, cell, masks, cache)
+    assert {g: v for g, v in known.items() if type(g) is not Var} == cache
+    every = cell
+    for f in roots:
+        every &= _reference_truth(f, cell, masks, cache)
+    assert _truth(roots, cell, dict(columns)) == every
+    order = _post_order(roots, columns)
+    assert _truth(roots, cell, dict(columns), order) == every
+
+
+def test_a_bare_formula_is_refused_by_name():
+    with pytest.raises(TypeError) as refused:
+        Formula()
+    assert str(refused.value) == "cannot build a Formula, the abstract base of klogic's node types"
+
+
+# Built without the constructor, which refuses the abstract class.
+@pytest.mark.parametrize("node", [object.__new__(Formula)])
 def test_truth_refuses_any_other_node_type_by_name(node):
     with pytest.raises(TypeError, match=f"cannot evaluate a {type(node).__name__} node"):
-        _truth(node, 1, {"p": 1, "q": 1}, {})
+        _truth((node,), 1, {Var("p"): 1, Var("q"): 1})
 
 
 @pytest.mark.parametrize(
@@ -180,12 +254,13 @@ def test_truth_memo_by_identity_evaluates_a_repeated_subformula_once():
     envs = canonical_worlds(("a", "b", "c"))
     assert full == 255
     for cell in range(1, full + 1):
-        memo: dict = {}
-        value = _truth(f, cell, masks, memo)
-        # One entry per distinct node other than an atom: ->, !K(p), K(p),
-        # p, a | b and K(!K(p)), whose !K(p) is the one on the left.
-        assert len(memo) == 6, cell
-        assert _truth(f, cell, masks, {}) == value
+        columns = {g: m & cell for g, m in masks.items()}
+        memo = dict(columns)
+        value = _truth((f,), cell, memo)
+        # One entry per distinct node: the atoms a, b and c, then ->, !K(p),
+        # K(p), p, a | b and K(!K(p)), whose !K(p) is the one on the left.
+        assert len(memo) == 9, cell
+        assert _truth((f,), cell, dict(columns)) == value
         worlds = [env for j, env in enumerate(envs) if cell >> j & 1]
         assert [bool(value >> j & 1) for j in range(8) if cell >> j & 1] == [
             oracle_eval_modal(f, worlds, i) for i in range(len(worlds))

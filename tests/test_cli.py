@@ -703,7 +703,7 @@ def test_deep_nesting_exits_two_without_a_traceback(argv):
 
 
 def test_formulas_at_the_depth_limit_are_answered(capsys, tmp_path):
-    """The recursive evaluator fits under the default recursion limit."""
+    """Every command answers a formula nested as deep as parsing allows."""
     half = MAX_FORMULA_DEPTH // 2
     deep = [
         "!" * MAX_FORMULA_DEPTH + "p",

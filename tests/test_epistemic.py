@@ -315,7 +315,7 @@ def _formulas_up_to(size: int) -> list:
     return [f for n in sorted(by_size) for f in by_size[n]]
 
 
-@pytest.mark.parametrize("theory", ["", "a", "K(a) -> !K(b)", "a | b", "K(a | b)"])
+@pytest.mark.parametrize("theory", ["", "a", "K(a) -> !K(b)", "a | b", "K(a | b)", "K(a) | b"])
 def test_engine_matches_reference_on_every_formula_of_five_nodes(theory):
     """Bounded-exhaustive differential: small scopes hold the corner cases
     that random draws miss.  Queries over no atom at all are skipped, as the
@@ -418,25 +418,28 @@ def test_a_chain_of_k_free_axioms_cuts_five_atoms_to_63_cells(monkeypatch):
     cells = []
     truth = epistemic._truth
     monkeypatch.setattr(
-        epistemic, "_truth", lambda g, cell, *rest: cells.append(cell) or truth(g, cell, *rest)
+        epistemic, "_truth", lambda f, cell, *rest: cells.append(cell) or truth(f, cell, *rest)
     )
     result = is_satisfiable(parse("K(a)"), theory, atom_limit=5)
     assert result.verdict is Verdict.UNSATISFIABLE
     allowed = sum(1 << i for i in (0b00000, 0b00001, 0b00011, 0b00111, 0b01111, 0b11111))
-    searched = [c for c in cells if c != (1 << 32) - 1]
-    assert len(set(searched)) == 63
+    # Two evaluations over every valuation, of the K-free parts and of the
+    # K-free axioms; then one per cell.
+    assert cells[:2] == [(1 << 32) - 1] * 2
+    searched = cells[2:]
+    assert len(searched) == len(set(searched)) == 63
     assert all(c & ~allowed == 0 for c in searched)
 
 
-def test_the_k_free_walk_finds_each_maximal_k_free_part_other_than_an_atom():
+def test_the_k_free_walk_finds_each_maximal_k_free_part():
     f = parse("K((a | b) & c) -> c | !K((a | b) & c) & (a <-> true)")
     axiom = parse("a -> b")
     parts = epistemic._k_free_parts([f, axiom])
-    # The two `(a | b) & c` are one node, so one part, beside `a <-> true`
-    # and the axiom; `c` is an atom, and the right operand of -> holds K.
+    # The two `(a | b) & c` are one node, so one part, beside the atom `c`,
+    # `a <-> true` and the axiom; the right operand of -> holds K.
     assert f.left.operand is f.right.right.left.operand.operand
-    assert sorted(map(render, parts)) == ["(a | b) & c", "a -> b", "a <-> true"]
-    assert len({id(g) for g in parts}) == 3
+    assert sorted(map(render, parts)) == ["(a | b) & c", "a -> b", "a <-> true", "c"]
+    assert len({id(g) for g in parts}) == 4
     assert all(modal_depth(g) == 0 for g in parts)
     assert modal_depth(f) == 1 and modal_depth(axiom) == 0
     # A K-free node shared by several parents is one part.

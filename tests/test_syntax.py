@@ -17,6 +17,8 @@ from hypothesis import given, settings, strategies as st
 from klogic import (
     And,
     Bottom,
+    ClassicalVerdict,
+    EpistemicModel,
     Iff,
     Implies,
     Know,
@@ -27,13 +29,20 @@ from klogic import (
     Top,
     Var,
     Verdict,
+    all_valuations,
     atoms,
     erase_K,
+    eval_classical,
+    eval_modal,
     is_satisfiable,
+    is_tautology,
+    is_valid,
     modal_depth,
     parse,
     render,
     subformulas,
+    truth_table,
+    valuation_at,
 )
 from klogic import syntax
 from klogic._record import Record
@@ -356,7 +365,8 @@ def test_subformulas_and_atoms_of_a_deep_api_formula_do_not_recurse():
 
 def test_every_public_walker_reads_a_deep_api_formula_without_recursing():
     """A formula 5000 levels deep, five times the default recursion limit,
-    is printed, erased, pickled, copied and folded away by the reduction."""
+    is printed, erased, pickled, copied, folded away by the reduction and
+    evaluated, and so is its K-free form."""
     f = _api_chain(5000, "a")
     text, record = _api_chain_texts(5000, "a")
     # Compared outside `assert`, whose diff of two texts this long takes minutes.
@@ -371,15 +381,29 @@ def test_every_public_walker_reads_a_deep_api_formula_without_recursing():
     result = is_satisfiable(Var("z"), Theory((Or(Top(), f),)))
     assert result.verdict is Verdict.SATISFIABLE
     assert result.model.atoms == ("a", "p", "q", "z")
+    # The last five wrappers read K(!(q <-> (true -> false))) over whatever
+    # `true | ...` holds, so f is K(q) and its K-free form is q.
+    names = ("a", "p", "q")
+    witness = is_satisfiable(f)
+    assert witness.model == EpistemicModel(names, (valuation_at(names, 0b001),), 0)
+    counter = is_valid(f)
+    assert counter.verdict is Verdict.INVALID
+    assert counter.model == EpistemicModel(names, (valuation_at(names, 0b000),), 0)
+    assert eval_modal(f, witness.model, 0) and not eval_modal(f, counter.model, 0)
+    k_free = _api_chain(5000, "a", know=lambda g: g)
+    assert is_tautology(k_free) == ClassicalVerdict(False, valuation_at(names, 0))
+    assert truth_table([k_free]).formula_bits == ("01010101",)
+    assert [eval_classical(k_free, v) for v in all_valuations(names)] == [False, True] * 4
 
 
-def _reference_post_order(roots) -> list:
+def _reference_post_order(roots, known=()) -> list:
     """Each distinct node under `roots` at its first occurrence, after its
-    operands, left before right, by recursion."""
+    operands, left before right, by recursion, with the nodes in `known`
+    neither listed nor entered."""
     order: dict = {}
 
     def walk(g) -> None:
-        if g in order:
+        if g in order or g in known:
             return
         if isinstance(g, (Not, Know)):
             walk(g.operand)
@@ -398,6 +422,12 @@ def test_the_post_order_lists_each_distinct_node_once_after_its_operands(roots):
     order = syntax._post_order(roots)
     assert order == _reference_post_order(roots)
     assert len(set(map(id, order))) == len(order)
+
+
+@given(st.lists(formulas, min_size=1, max_size=3), st.data())
+def test_the_post_order_skips_the_known_nodes_and_what_only_they_reach(roots, data):
+    known = set(data.draw(st.lists(st.sampled_from(syntax._post_order(roots)))))
+    assert syntax._post_order(roots, known) == _reference_post_order(roots, known)
 
 
 def _pre_order(f) -> list:
