@@ -26,10 +26,11 @@ parenthesized group and connective is one level above its operands, so
 `!(p & q)` is three levels deep and a chain `a & b & c` two, since `&` and
 `|` chains nest to the left.  `parse` does not recurse and refuses deeper
 input with a ParseError.  The limit bounds the input, not recursion: no
-walker recurses.  Each keeps its own stack: `subformulas`, and
-`_post_order`, which lists each distinct node once after its operands and
-which printing, `repr`, pickling, `atoms`, evaluation (`classical._truth`)
-and the modal engine's `erase_K`, fold and K-free split read.  Equality and
+walker recurses.  Each keeps its own stack: `subformulas`; printing and
+`repr`, which write the text front to back from a stack of what is left to
+write; and `_post_order`, which lists each distinct node once after its
+operands and which pickling, `atoms`, evaluation (`classical._truth`) and
+the modal engine's `erase_K`, fold and K-free split read.  Equality and
 hashing are by identity (see `Formula`) and `modal_depth` reads a stored
 field.  So a formula built through the API may be deeper than the limit or
 than Python's recursion limit, and is printed, walked, compared, pickled
@@ -81,11 +82,13 @@ class Formula(Record):
     compare in constant time, and the walkers' memos, keyed by the node
     (see `_post_order` and `classical._truth`), meet each subformula once.
     The registry holds its nodes weakly, so a node lives only as long as a
-    caller holds it, and its entry goes when it dies.  Registration uses `dict.setdefault`,
-    so threads that build one formula at once get one node.  The modal
-    depth, 0 iff K-free, is stored on each node, made from its operands'
-    depths, and `modal_depth` reads it; an operand without one is refused
-    with TypeError, and an atom's name is checked when its node is first
+    caller holds it, and its entry goes when it dies.  Registration uses
+    `dict.setdefault`, so threads that build one formula at once get one
+    node.  The lookup comes first, so building a live node costs about the
+    lookup, and the rest is done only on a miss.  The modal depth, 0 iff
+    K-free, is stored on each node, made from its operands' depths, and
+    `modal_depth` reads it; an operand without one, hashable or not, is
+    refused with TypeError, and an atom's name is checked when its node is
     built.  The node classes are closed: once the nine below are defined,
     any further subclass, of `Formula` or of one of them, raises TypeError,
     and so does building a `Formula` itself, so every walker may dispatch on
@@ -108,28 +111,29 @@ class Formula(Record):
         if kwargs or len(args) != len(fields):
             values = cls._bind(args, kwargs)
             args = tuple([values[name] for name in fields])
-        try:
-            if cls is Know:
-                depth = args[0]._modal_depth + 1
-            elif cls is Var or not args:  # an atom's one argument is its name
-                depth = 0
-            else:  # the first and last operand: a unary node's one, a binary node's two
-                depth = max(args[0]._modal_depth, args[-1]._modal_depth)
-        except AttributeError:  # an operand that is not a Formula has no depth
-            field, value = next(
-                (field, a) for field, a in zip(fields, args) if not isinstance(a, Formula)
-            )
-            raise TypeError(
-                f"{cls.__name__}.{field} must be a Formula, got {type(value).__name__}"
-            ) from None
-        key = (cls, *args)
-        found = _nodes.get(key)
+        try:  # on a hit, the node; an unhashable field is refused below
+            found = _nodes.get(key := (cls, *args))
+        except TypeError:
+            found = None
         while found is None or (node := found()) is None:
-            _remove_dead_weakref(_nodes, key)  # the entry of a node that died, if one is left
-            if cls is Var and not is_atom_name(args[0]):  # a registered name is valid
+            # A miss: the depth, and the checks a registered node has passed.
+            try:
+                if cls is Know:
+                    depth = args[0]._modal_depth + 1
+                elif cls is Var or not args:  # an atom's one argument is its name
+                    depth = 0
+                else:  # the first and last operand: a unary node's one, a binary node's two
+                    depth = max(args[0]._modal_depth, args[-1]._modal_depth)
+            except AttributeError:  # an operand that is not a Formula has no depth
+                field, value = next(p for p in zip(fields, args) if not isinstance(p[1], Formula))
+                raise TypeError(
+                    f"{cls.__name__}.{field} must be a Formula, got {type(value).__name__}"
+                ) from None
+            if cls is Var and not is_atom_name(args[0]):
                 raise ValueError(f"invalid atom name: {args[0]!r}")
             if cls is Formula:  # never registered, so every attempt comes here
                 raise TypeError("cannot build a Formula, the abstract base of klogic's node types")
+            _remove_dead_weakref(_nodes, key)  # the entry of a node that died, if one is left
             node = object.__new__(cls)
             node.__dict__.update(zip(fields, args), _modal_depth=depth)
             # Built by `ref`'s constructor, in C: KeyedRef's own runs in Python
@@ -144,20 +148,25 @@ class Formula(Record):
         return render(self)
 
     def __repr__(self) -> str:
-        """`Record`'s repr, `Name(field=value, ...)`, written as `render`
-        writes its text, so any depth fits under the recursion limit."""
-        text: dict[Formula, str | tuple] = {}
-        for g in _post_order((self,)):
-            t = type(g)
-            if t is Var:
-                text[g] = f"Var(name={g.name!r})"
+        """`Record`'s repr, `Name(field=value, ...)`, written front to back
+        as `render` writes its text, so any depth fits under the recursion
+        limit."""
+        out, stack = [], [self]
+        while stack:
+            t = type(g := stack.pop())
+            if t is str:
+                out.append(g)
+            elif t is Var:
+                out.append(f"Var(name={g.name!r})")
             elif t is Not or t is Know:
-                text[g] = (f"{t.__qualname__}(operand=", text[g.operand], ")")
+                out.append(f"{t.__qualname__}(operand=")
+                stack += ")", g.operand
             elif t in _SYMBOL:
-                text[g] = (f"{t.__qualname__}(left=", text[g.left], ", right=", text[g.right], ")")
+                out.append(f"{t.__qualname__}(left=")
+                stack += ")", g.right, ", right=", g.left
             else:
-                text[g] = f"{t.__qualname__}()"
-        return _join(text[self])
+                out.append(f"{t.__qualname__}()")
+        return "".join(out)
 
     def __reduce__(self):
         """Pickle and copy as a flat program, the nodes of `_post_order`, each
@@ -390,49 +399,36 @@ def parse(text: str) -> Formula:
 def render(f: Formula) -> str:
     """Minimally parenthesized concrete syntax; parse(render(f)) is f.
 
-    Each node's text is made once, over `_post_order`, as a tuple of
-    strings and its operands' texts, and `_join` writes it out, so the time
-    and memory follow the length of the text, not its length times f's
-    depth.  An operand is parenthesized when it binds more loosely than its
-    place in the parent allows."""
-    text: dict[Formula, str | tuple] = {}
-    for g in _post_order((f,)):
-        t = type(g)
-        if t is Var:
-            text[g] = g.name
-        elif t is Top or t is Bottom:
-            text[g] = "true" if t is Top else "false"
-        elif t is Know:
-            text[g] = ("K(", text[g.operand], ")")
-        elif t is Not:  # a connective under ! is parenthesized
-            operand = text[g.operand]
-            text[g] = ("!(", operand, ")") if type(g.operand) in _SYMBOL else ("!", operand)
-        else:
-            symbol, left_level, right_level = _INFIX[t]
-            left, right = text[g.left], text[g.right]
-            if _PRECEDENCE[type(g.left)] < left_level:
-                left = ("(", left, ")")
-            if _PRECEDENCE[type(g.right)] < right_level:
-                right = ("(", right, ")")
-            text[g] = (left, symbol, right)
-    return _join(text[f])
-
-
-def _join(rope: str | tuple) -> str:
-    """The text of a rope, a string or a tuple of ropes read left to right,
-    with its own stack."""
-    out, stack = [], [rope]
+    Written front to back from one stack of what is left to write, strings
+    and operand nodes, the next piece on top: a node writes its first piece
+    and pushes the rest, so the time and memory follow the length of the
+    text at any depth.  An operand is parenthesized when it binds more
+    loosely than its place in the parent allows."""
+    out, stack = [], [f]
     while stack:
-        piece = stack.pop()
-        if type(piece) is str:
-            out.append(piece)
-        else:
-            stack += reversed(piece)
+        t = type(g := stack.pop())
+        if t is str:
+            out.append(g)
+        elif t is Var:
+            out.append(g.name)
+        elif t is Know or t is Not and type(g.operand) in _SYMBOL:  # !(...) over a connective
+            out.append("K(" if t is Know else "!(")
+            stack += ")", g.operand
+        elif t is Not:
+            out.append("!")
+            stack.append(g.operand)
+        elif t is Top or t is Bottom:
+            out.append("true" if t is Top else "false")
+        else:  # a closing parenthesis after the left operand leads the symbol
+            symbol, left_level, right_level = _INFIX[t]
+            if _PRECEDENCE[type(g.left)] < left_level:
+                out.append("(")
+                symbol = ")" + symbol
+            if _PRECEDENCE[type(g.right)] < right_level:
+                stack += ")", g.right, symbol + "(", g.left
+            else:
+                stack += g.right, symbol, g.left
     return "".join(out)
-
-
-_UNARY = (Not, Know)
-_BINARY = (And, Or, Implies, Iff)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
@@ -445,9 +441,10 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     while stack:
         g = pop()
         yield g
-        if isinstance(g, _UNARY):
+        t = type(g)
+        if t is Not or t is Know:
             push(g.operand)
-        elif isinstance(g, _BINARY):
+        elif t in _SYMBOL:
             push(g.right)
             push(g.left)
 

@@ -12,7 +12,7 @@ import threading
 from weakref import KeyedRef
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klogic import (
     And,
@@ -593,6 +593,18 @@ def _record_repr(f) -> str:
 
 
 @given(formulas)
+# A node shared under several parents, `!` and `K` over connectives, and each
+# connective nested on the side that its associativity parenthesizes.
+@example(parse("(a | b) & ((a | b) -> !(a | b)) | K(a | b)"))
+@example(parse("!(a & b)"))
+@example(parse("!(a | b)"))
+@example(parse("!(a -> b)"))
+@example(parse("!(a <-> b)"))
+@example(parse("K(a -> b)"))
+@example(parse("a & (b & c)"))
+@example(parse("a | (b | c)"))
+@example(parse("(a -> b) -> c"))
+@example(parse("(a <-> b) <-> c"))
 def test_render_and_repr_match_their_recursive_references(f):
     assert render(f) == _reference_render(f)
     assert repr(f) == Record.__repr__(f) == _record_repr(f)
