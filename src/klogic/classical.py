@@ -19,9 +19,9 @@ exact type, refusing any other type (the node types are closed; see
 `_within_limits` words every atom limit, the modal engine's included, and
 since a column costs 2^n bits it also refuses more than MAX_COLUMN_ATOMS
 atoms, whatever the limit.
-Tautology, equivalence and K-free modal checks all ask `_first_valuation`
-for the index of the first valuation where a list of K-free formulas
-holds; each caller builds its own answer from that index.
+Equivalence and K-free modal checks ask `_first_valuation` for the index
+of the first valuation where a list of K-free formulas holds; a tautology
+check is the equivalence of its formula and true.
 """
 
 from __future__ import annotations
@@ -236,10 +236,18 @@ class TruthTable(Record):
         return tuple(rows)
 
 
+def _require_formula(f: Formula) -> None:
+    """Refuse a value that is not a formula, with a TypeError naming its type."""
+    if not isinstance(f, Formula):
+        raise TypeError(f"expected a Formula, got {type(f).__name__}")
+
+
 def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
-    """Refuse the first formula containing K; `why`, if given, is appended
-    to the message in parentheses."""
+    """Refuse the first value that is not a formula (TypeError) or that
+    contains K; `why`, if given, is appended to the latter's message in
+    parentheses."""
     for f in formulas:
+        _require_formula(f)
         if f._modal_depth:
             reason = f" ({why})" if why else ""
             raise ModalOperatorPresent(
@@ -346,10 +354,9 @@ class ClassicalVerdict(Record):
 
 
 def is_tautology(f: Formula, atom_limit: int = DEFAULT_ATOM_LIMIT) -> ClassicalVerdict:
-    """True at every valuation, or the first falsifying valuation."""
-    order = _prepare([f], ConstraintSet(), atom_limit)
-    first = _first_valuation(order, [Not(f)])
-    return ClassicalVerdict(first is None, None if first is None else valuation_at(order, first))
+    """True at every valuation, or the first falsifying valuation: the
+    equivalence of f and true, as `!(f <-> true)` holds where `!f` does."""
+    return are_equivalent_under(ConstraintSet(), f, Top(), atom_limit)
 
 
 def are_equivalent_under(

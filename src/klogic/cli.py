@@ -111,10 +111,6 @@ def _query_lines(report: dict) -> list[str]:
     return [f"{report['formula']}: {verdict}", *model]
 
 
-def _print(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _print_json(report: dict, slot: tuple | None = None) -> None:
     """Write json.dumps(report, indent=2) and a newline.
 
@@ -164,7 +160,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(report)
     else:
-        _print("\n".join(_check_lines(report)))
+        sys.stdout.write("\n".join(_check_lines(report)) + "\n")
     return EXIT_OK if result.holds else EXIT_NEGATIVE
 
 
@@ -238,7 +234,7 @@ def _cmd_quantum(args: argparse.Namespace) -> int:
             f"{len(decls.propositions)} propositions, {len(pairs)} axioms, "
             f"{len(pairs)} constraints, bound {bound}"
         )
-        _print("\n".join(lines or [summary]))
+        sys.stdout.write("\n".join(lines or [summary]) + "\n")
     return EXIT_OK if check is None or result.holds else EXIT_NEGATIVE
 
 
@@ -250,7 +246,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json(report, _rows_slot(table))
     else:
-        _print("\n".join(_demo_lines(report, table)))
+        sys.stdout.write("\n".join(_demo_lines(report, table)) + "\n")
     return EXIT_OK
 
 

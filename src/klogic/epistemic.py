@@ -53,7 +53,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Top, Var, _post_order, atoms
+from .syntax import And, Bottom, Formula, Iff, Implies, Know, Not, Or, Top, Var, _post_order, atoms
 from .classical import (
     DEFAULT_MODAL_ATOM_LIMIT,
     Valuation,
@@ -61,6 +61,7 @@ from .classical import (
     _first,
     _first_valuation,
     _require_assigned,
+    _require_formula,
     _truth,
     _within_limits,
 )
@@ -102,7 +103,10 @@ class Theory(Record):
     axioms: tuple[Formula, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "axioms", tuple(dict.fromkeys(self.axioms)))
+        axioms = tuple(dict.fromkeys(self.axioms))
+        for a in axioms:
+            _require_formula(a)
+        object.__setattr__(self, "axioms", axioms)
 
     def atom_names(self) -> set[str]:
         return set().union(*map(atoms, self.axioms))
@@ -162,34 +166,33 @@ def _fold(f: Formula, unknown: set[str], cache: dict) -> bool | None:
     outside `unknown` is false: True or False when that settles it, None
     when it may depend on the atoms in `unknown`.
 
-    K(g) folds as g does, because a cell is non-empty: so K(false) folds to
-    False.  `cache` maps each node folded for this `unknown` set to its
+    Values are folded as 1 (true), 0 (unknown) and -1 (false), so Kleene's
+    connectives are arithmetic: ! is negation, & is min, | is max.  K(g)
+    folds as g does, because a cell is non-empty: so K(false) folds to
+    false.  `cache` maps each node folded for this `unknown` set to its
     value; the nodes of f not in it are folded over `_post_order`.
     """
     for g in _post_order((f,), cache):
         t = type(g)
         if t is Var:
-            r = None if g.name in unknown else False
+            r = 0 if g.name in unknown else -1
         elif t is Top or t is Bottom:
-            r = t is Top
+            r = 1 if t is Top else -1
         elif t is Know:
             r = cache[g.operand]
         elif t is Not:
-            r = cache[g.operand]
-            r = None if r is None else not r
-        else:
-            left = cache[g.left]
-            if t is Implies and left is not None:  # read as !left | right
-                left = not left
-            pair = (left, cache[g.right])
-            if t is And:
-                r = False if False in pair else None if None in pair else True
-            elif t is Iff:
-                r = None if None in pair else pair[0] == pair[1]
-            else:  # Or, and Implies as !left | right
-                r = True if True in pair else None if None in pair else False
+            r = -cache[g.operand]
+        elif t is And:
+            r = min(cache[g.left], cache[g.right])
+        elif t is Or:
+            r = max(cache[g.left], cache[g.right])
+        elif t is Implies:
+            r = max(-cache[g.left], cache[g.right])
+        else:  # Iff, as (left -> right) & (right -> left)
+            r = min(max(-cache[g.left], cache[g.right]), max(-cache[g.right], cache[g.left]))
         cache[g] = r
-    return cache[f]
+    r = cache[f]
+    return r > 0 if r else None
 
 
 def _reduce(
@@ -304,6 +307,7 @@ def is_satisfiable(
     an extra atom, so it is false at every world of that model; a caller
     that leaves out axioms the reduction would drop passes their atoms.
     The atoms searched meet the modal limit in `classical._within_limits`."""
+    _require_formula(f)
     names, axioms, padded = _reduce(f, theory.axioms, extra_atoms, atom_limit)
     first = _first_model(f, axioms, names)
     if first is None:

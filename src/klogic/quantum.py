@@ -17,7 +17,8 @@ pairs when built and its axioms, constraints and provenance on first read,
 so `classical._within_limits` asks an atom limit before any node exists:
 of the pairs' atoms for a table, of the query's atoms for a check, which
 then builds only the axioms `axioms_within` its query's atoms, the only
-ones its search keeps (see `epistemic`).  A proposition keeps its `Var`,
+ones its search keeps (see `epistemic`); `axioms` are those within the
+pairs' own atoms, one per pair.  A proposition keeps its `Var`,
 and as equal formulas are one node (see `syntax.Formula`), every node of
 its formulas, each side K(m) or !K(x) included, is built once and shared
 by every axiom and constraint it is in.  `epistemic` is imported
@@ -177,17 +178,16 @@ class GeneratedTheory(Record):
 
     @cached_property
     def axioms(self) -> Theory:
-        return self._theory(self.pairs)
+        """Every pair's axiom: the axioms within the pairs' own atoms."""
+        return self.axioms_within(self.atom_names())
 
     def axioms_within(self, names: Collection[str]) -> Theory:
         """The axioms of the pairs whose two atoms are both in `names`: the
         only ones a query over `names` keeps (see `epistemic`), since
         K(m) -> !K(x) holds once m or x is false at every world."""
-        return self._theory([(m, x) for m, x in self.pairs if m.atom in names and x.atom in names])
-
-    def _theory(self, pairs: Iterable[tuple[IntervalProposition, IntervalProposition]]) -> Theory:
         from .epistemic import Theory
 
+        pairs = [(m, x) for m, x in self.pairs if m.atom in names and x.atom in names]
         return Theory(tuple([Implies(Know(m.var), Not(Know(x.var))) for m, x in pairs]))
 
     @cached_property

@@ -55,7 +55,7 @@ _ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 def is_atom_name(name: str) -> bool:
     """True iff `name` is a legal atom: lowercase-led identifier, not reserved."""
-    return bool(_ATOM_RE.match(name)) and name not in RESERVED_WORDS
+    return isinstance(name, str) and bool(_ATOM_RE.match(name)) and name not in RESERVED_WORDS
 
 
 _node_types_closed = False  # set once the nine node classes are defined
@@ -129,6 +129,8 @@ class Formula(Record):
                 raise TypeError(
                     f"{cls.__name__}.{field} must be a Formula, got {type(value).__name__}"
                 ) from None
+            if cls is Var and not isinstance(args[0], str):
+                raise TypeError(f"Var.name must be a str, got {type(args[0]).__name__}")
             if cls is Var and not is_atom_name(args[0]):
                 raise ValueError(f"invalid atom name: {args[0]!r}")
             if cls is Formula:  # never registered, so every attempt comes here

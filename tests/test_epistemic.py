@@ -36,6 +36,7 @@ from klogic import (
     modal_depth,
     parse,
     render,
+    truth_table,
     valuation_at,
 )
 from klogic import epistemic
@@ -95,6 +96,23 @@ def test_theory_deduplicates():
     t = Theory((parse("K(p)"), parse("K(p)"), parse("q")))
     assert len(t.axioms) == 2
     assert t.atom_names() == {"p", "q"}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_valid(parse("a"), Theory(["K(a) -> a"])),
+        lambda: Theory(["a"]),
+        lambda: is_satisfiable("a"),
+        lambda: ConstraintSet(["a"]),
+        lambda: truth_table(["a"]),
+        lambda: is_tautology("a"),
+    ],
+    ids=["is_valid-theory", "Theory", "is_satisfiable", "ConstraintSet", "truth_table", "is_tautology"],
+)
+def test_a_non_formula_is_refused_with_its_type(call):
+    with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+        call()
 
 
 def test_erase_K_examples():

@@ -138,6 +138,7 @@ def test_reserved_words_are_not_atoms():
     with pytest.raises(ValueError):
         Var("True")
     assert not is_atom_name("not")
+    assert not is_atom_name(5)
     assert is_atom_name("momentum_1")
 
 
@@ -544,6 +545,10 @@ def test_var_rejects_bad_names():
     for bad in ("", "P", "1a", "a-b", "K"):
         with pytest.raises(ValueError):
             Var(bad)
+    for bad, kind in ((5, "int"), (b"a", "bytes"), (None, "NoneType"), ([], "list")):
+        with pytest.raises(TypeError) as caught:
+            Var(bad)
+        assert str(caught.value) == f"Var.name must be a str, got {kind}"
 
 
 @given(formulas)
