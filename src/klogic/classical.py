@@ -21,7 +21,10 @@ since a column costs 2^n bits it also refuses more than MAX_COLUMN_ATOMS
 atoms, whatever the limit.
 Equivalence and K-free modal checks ask `_first_valuation` for the index
 of the first valuation where a list of K-free formulas holds; a tautology
-check is the equivalence of its formula and true.
+check is the equivalence of its formula and true.  A truth table's
+excluded rows are those outside what `_truth` of its constraints returns,
+as the modal engine's cells lie inside what `_truth` of its K-free axioms
+returns.
 """
 
 from __future__ import annotations
@@ -236,10 +239,11 @@ class TruthTable(Record):
         return tuple(rows)
 
 
-def _require_formula(f: Formula) -> None:
-    """Refuse a value that is not a formula, with a TypeError naming its type."""
-    if not isinstance(f, Formula):
-        raise TypeError(f"expected a Formula, got {type(f).__name__}")
+def _require_formula(f: object, kind: type = Formula) -> None:
+    """Refuse a value that is not a `kind`, a formula by default, with a
+    TypeError naming its type."""
+    if not isinstance(f, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {type(f).__name__}")
 
 
 def _require_k_free(formulas: Iterable[Formula], why: str = "") -> None:
@@ -289,6 +293,7 @@ def _prepare(
 ) -> tuple[str, ...]:
     """The sorted atoms of a K-free query, which searches them all; see
     `_within_limits`."""
+    _require_formula(constraints, ConstraintSet)
     _require_k_free(formulas)
     names = constraints.atom_names().union(*map(atoms, formulas))
     return _within_limits(names, names, atom_limit, cells=False)
@@ -315,28 +320,24 @@ def truth_table(
     """Constrained truth table over the union of atoms, rows in canonical order.
 
     A row is excluded iff at least one constraint evaluates false under its
-    valuation; excluded rows carry no formula values.
+    valuation, that is, iff it lies outside what `_truth` of the constraints
+    returns; excluded rows carry no formula values.
     """
     formulas = tuple(formulas)
     order = _prepare(formulas, constraints, atom_limit)
     full, known = _columns(order)
-    _truth([*constraints, *formulas], full, known)
+    allowed = _truth(constraints.constraints, full, known)
+    _truth(formulas, full, known)
     width = f"0{1 << len(order)}b"
 
     def bits(column: int) -> str:  # character i is bit i
         return format(column, width)[::-1]
 
-    allowed = full
-    constraint_bits = []
-    for c in constraints:
-        column = known[c]
-        allowed &= column
-        constraint_bits.append(bits(column))
     return TruthTable(
         order,
         formulas,
         constraints.constraints,
-        tuple(constraint_bits),
+        tuple(bits(known[c]) for c in constraints),
         tuple(bits(known[f]) for f in formulas),
         bits(full & ~allowed),
     )

@@ -44,7 +44,7 @@ from .errors import LogicError
 from .syntax import Formula, atoms, parse, render
 
 if TYPE_CHECKING:
-    from .epistemic import CheckResult, EpistemicModel, Theory
+    from .epistemic import CheckResult, Theory
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -70,22 +70,16 @@ def _add_atom_limit(p: argparse.ArgumentParser, default: int, help: str) -> None
     p.add_argument("--atom-limit", type=_atom_limit, default=default, metavar="N", help=help)
 
 
-def _model_json(model: EpistemicModel) -> dict:
-    return {
-        "atoms": list(model.atoms),
-        "worlds": [[1 if b else 0 for b in world.bits] for world in model.cell],
-        "designated": model.designated,
-    }
-
-
 def _check_json(result: CheckResult) -> dict:
-    from .epistemic import Verdict
-
+    """The verdict's name and, when the result carries a model, that model
+    under "model" for a witness and "countermodel" for a countermodel."""
     out: dict = {"verdict": result.verdict.name}
-    if result.verdict is Verdict.INVALID:
-        out["countermodel"] = _model_json(result.model)
-    elif result.verdict is Verdict.SATISFIABLE:
-        out["model"] = _model_json(result.model)
+    if (model := result.model) is not None:
+        out["model" if result.holds else "countermodel"] = {
+            "atoms": list(model.atoms),
+            "worlds": [[1 if b else 0 for b in world.bits] for world in model.cell],
+            "designated": model.designated,
+        }
     return out
 
 
@@ -103,12 +97,6 @@ def _check_lines(report: dict) -> list[str]:
         if key in report:
             lines.extend(_model_lines(report[key], key))
     return lines
-
-
-def _query_lines(report: dict) -> list[str]:
-    """A formula's verdict on one line, then the model that shows it."""
-    verdict, *model = _check_lines(report)
-    return [f"{report['formula']}: {verdict}", *model]
 
 
 def _print_json(report: dict, slot: tuple | None = None) -> None:

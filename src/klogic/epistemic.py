@@ -285,9 +285,8 @@ def _build_model(
     # cell's worlds, not its width.
     indices = []
     while cell:
-        low = cell & -cell
-        indices.append(low.bit_length() - 1)
-        cell ^= low
+        indices.append(i := _first(cell))
+        cell ^= 1 << i
     worlds = []
     for i in indices:
         digits = format(i, f"0{n}b")  # the n binary digits of i, first atom first
@@ -308,6 +307,7 @@ def is_satisfiable(
     that leaves out axioms the reduction would drop passes their atoms.
     The atoms searched meet the modal limit in `classical._within_limits`."""
     _require_formula(f)
+    _require_formula(theory, Theory)
     names, axioms, padded = _reduce(f, theory.axioms, extra_atoms, atom_limit)
     first = _first_model(f, axioms, names)
     if first is None:

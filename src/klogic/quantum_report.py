@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .classical import TruthTable, is_tautology, truth_table
-from .cli import _check_json, _query_lines
+from .cli import _check_json, _check_lines
 from .epistemic import CheckResult, Theory, is_satisfiable, is_valid
 from .quantum import (
     IntervalProposition,
@@ -171,6 +171,12 @@ def _demo_report() -> tuple[dict, TruthTable]:
         },
     }
     return report, table
+
+
+def _query_lines(report: dict) -> list[str]:
+    """A formula's verdict on one line, then the model that shows it."""
+    verdict, *model = _check_lines(report)
+    return [f"{report['formula']}: {verdict}", *model]
 
 
 def _demo_lines(report: dict, table: TruthTable) -> list[str]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from klogic import (
     And,
@@ -517,6 +517,9 @@ eight_atom_formulas = st.recursive(
     st.lists(eight_atom_formulas, max_size=3),
 )
 @settings(max_examples=150)
+# A formula that is itself a constraint, and one that shares a subformula
+# with it: the formulas' pass reads nodes the constraints' pass filled.
+@example([parse("a | b"), parse("!(a | b) & c")], [parse("a | b")])
 def test_table_rows_match_the_oracle(formulas, constraints):
     cons = ConstraintSet(tuple(constraints))
     table = truth_table(formulas, cons)  # over 1 to 8 of the atoms a..h

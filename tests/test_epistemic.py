@@ -26,6 +26,7 @@ from klogic import (
     Verdict,
     ConstraintSet,
     are_equivalent_modal,
+    are_equivalent_under,
     atoms,
     erase_K,
     eval_classical,
@@ -112,6 +113,28 @@ def test_theory_deduplicates():
 )
 def test_a_non_formula_is_refused_with_its_type(call):
     with pytest.raises(TypeError, match="^expected a Formula, got str$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_valid(parse("a"), [parse("a")]), "expected a Theory, got list"),
+        (lambda: is_satisfiable(parse("a"), (parse("a"),)), "expected a Theory, got tuple"),
+        (
+            lambda: are_equivalent_modal(parse("a"), parse("b"), [parse("a")]),
+            "expected a Theory, got list",
+        ),
+        (lambda: truth_table([parse("a")], [parse("a")]), "expected a ConstraintSet, got list"),
+        (
+            lambda: are_equivalent_under([parse("a")], parse("a"), parse("b")),
+            "expected a ConstraintSet, got list",
+        ),
+    ],
+    ids=["is_valid", "is_satisfiable", "are_equivalent_modal", "truth_table", "are_equivalent_under"],
+)
+def test_a_container_of_the_wrong_type_is_refused_with_its_type(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         call()
 
 
